@@ -11,14 +11,23 @@
 // whose hot path never touches those tables, so the measured speedup
 // isolates the event-queue/allocation/RNG changes and is conservative.
 //
+// A second table times stage 1 of the split estimator on crosscheck_mlec's
+// local pool two ways in one process: the bare simulate_local_pool loop and
+// a 1-shard in-memory run_local_pool_campaign over the same missions. Their
+// per-mission ratio is what the campaign path adds to the engine loop; as a
+// ratio of two timings on one host it does not depend on the host's speed.
+//
 //   bench_sim_core [--quick] [--json[=PATH]] [--min-tps=X]
-//                  [--scenario-dir=DIR]
+//                  [--max-stage1-ratio=X] [--scenario-dir=DIR]
 //
 //   --quick        shrink mission counts (CI smoke mode; MLEC_FAST=1 too)
 //   --json[=PATH]  write machine-readable results (default
 //                  BENCH_sim_core.json)
 //   --min-tps=X    exit 1 unless the optimized core sustains at least X
 //                  trials/sec on every scenario (CI regression floor)
+//   --max-stage1-ratio=X
+//                  exit 1 when the stage-1 campaign costs more than X times
+//                  the simulate_local_pool loop per mission (CI gate)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,6 +46,7 @@
 #include "core/spec_io.hpp"
 #include "math/combin.hpp"
 #include "placement/pools.hpp"
+#include "runtime/pool_campaign.hpp"
 #include "sim/pool_state.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
@@ -421,13 +431,57 @@ struct ScenarioRow {
   double speedup = 0.0;
 };
 
+/// Stage 1 of the split estimator, per mission, two ways.
+struct Stage1Row {
+  std::string name;
+  std::uint64_t missions = 0;
+  double loop_us = 0.0;      ///< simulate_local_pool
+  double campaign_us = 0.0;  ///< 1-shard in-memory run_local_pool_campaign
+  double ratio = 0.0;        ///< campaign_us / loop_us
+};
+
+/// Best-of-`reps` per-mission cost of both stage-1 paths on `sc`'s local
+/// pool. The two paths alternate, so a drift in host speed hits both, and a
+/// first untimed round warms both up.
+Stage1Row measure_stage1(const Scenario& sc, std::uint64_t missions, int reps) {
+  const LocalPoolSimConfig config = sc.local_pool_config();
+  LocalPoolCampaignOptions one_shard;
+  one_shard.shards = 1;
+  auto seconds = [](auto&& run) {
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+  double loop_s = std::numeric_limits<double>::infinity();
+  double campaign_s = loop_s;
+  for (int r = 0; r <= reps; ++r) {
+    const double loop = seconds([&] {
+      Rng rng = Rng::for_substream(sc.seed, 0);
+      (void)simulate_local_pool(config, missions, rng);
+    });
+    const double campaign =
+        seconds([&] { (void)run_local_pool_campaign(config, missions, sc.seed, one_shard); });
+    if (r == 0) continue;
+    loop_s = std::min(loop_s, loop);
+    campaign_s = std::min(campaign_s, campaign);
+  }
+  Stage1Row row;
+  row.name = sc.name;
+  row.missions = missions;
+  row.loop_us = loop_s * 1e6 / static_cast<double>(missions);
+  row.campaign_us = campaign_s * 1e6 / static_cast<double>(missions);
+  row.ratio = row.campaign_us / row.loop_us;
+  return row;
+}
+
 Scenario load(const std::string& path) {
   std::ifstream in(path);
   MLEC_REQUIRE(static_cast<bool>(in), "cannot open scenario file " + path);
   return load_scenario(IniFile::parse(in));
 }
 
-void write_json(const std::string& path, const std::vector<ScenarioRow>& rows, bool quick) {
+void write_json(const std::string& path, const std::vector<ScenarioRow>& rows,
+                const Stage1Row& stage1, bool quick) {
   std::ofstream out(path);
   out.precision(6);
   out << "{\n  \"bench\": \"sim_core\",\n  \"quick\": " << (quick ? "true" : "false")
@@ -448,7 +502,10 @@ void write_json(const std::string& path, const std::vector<ScenarioRow>& rows, b
     out << ",\n      \"speedup\": " << r.speedup << "\n    }" << (i + 1 < rows.size() ? "," : "")
         << "\n";
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"stage1\": {\"name\": \"" << stage1.name << "\", \"missions\": " << stage1.missions
+      << ", \"loop_us_per_mission\": " << stage1.loop_us
+      << ", \"campaign_us_per_mission\": " << stage1.campaign_us << ", \"ratio\": " << stage1.ratio
+      << "}\n}\n";
 }
 
 }  // namespace
@@ -457,6 +514,7 @@ int main(int argc, char** argv) {
   bool quick = fast_mode();
   std::string json_path;
   double min_tps = 0.0;
+  double max_stage1_ratio = 0.0;
   std::string scenario_dir = "examples/scenarios";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -464,11 +522,13 @@ int main(int argc, char** argv) {
     else if (arg == "--json") json_path = "BENCH_sim_core.json";
     else if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
     else if (arg.rfind("--min-tps=", 0) == 0) min_tps = std::stod(arg.substr(10));
+    else if (arg.rfind("--max-stage1-ratio=", 0) == 0)
+      max_stage1_ratio = std::stod(arg.substr(19));
     else if (arg.rfind("--scenario-dir=", 0) == 0) scenario_dir = arg.substr(15);
     else {
       std::cerr << "unknown argument: " << arg << "\n"
                 << "usage: bench_sim_core [--quick] [--json[=PATH]] [--min-tps=X]"
-                   " [--scenario-dir=DIR]\n";
+                   " [--max-stage1-ratio=X] [--scenario-dir=DIR]\n";
       return 2;
     }
   }
@@ -513,13 +573,28 @@ int main(int argc, char** argv) {
   std::cout << "# the two cores draw the same distributions through different RNG\n"
             << "# schedules, so PDLs agree statistically, not bit-for-bit\n";
 
+  const Stage1Row stage1 = measure_stage1(load(scenario_dir + "/crosscheck_mlec.ini"),
+                                          quick ? 100'000 : 500'000, quick ? 3 : 5);
+  Table s({"scenario", "missions", "loop_us/mission", "campaign_us/mission", "ratio"});
+  s.add_row({stage1.name, std::to_string(stage1.missions), Table::num(stage1.loop_us, 4),
+             Table::num(stage1.campaign_us, 4), Table::num(stage1.ratio, 3)});
+  std::cout << s.to_ascii("stage 1: 1-shard in-memory campaign vs simulate_local_pool loop")
+            << '\n';
+
   if (!json_path.empty()) {
-    write_json(json_path, rows, quick);
+    write_json(json_path, rows, stage1, quick);
     std::cout << "# wrote " << json_path << '\n';
   }
+  int status = 0;
   if (!floor_ok) {
     std::cerr << "FAIL: optimized core below --min-tps=" << min_tps << " floor\n";
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (max_stage1_ratio > 0.0 && stage1.ratio > max_stage1_ratio) {
+    std::cerr << "FAIL: the stage-1 campaign costs " << stage1.ratio
+              << "x the simulate_local_pool loop per mission (--max-stage1-ratio="
+              << max_stage1_ratio << ")\n";
+    status = 1;
+  }
+  return status;
 }

@@ -127,11 +127,10 @@ class SimEstimator final : public Estimator {
     e.provenance = "count-level fleet Monte Carlo (FleetMissionEngine) via the campaign runner";
     e.pdl = run.result.pdl();
     e.nines = durability_nines(e.pdl);
+    // Zero observed losses give a Wilson lower bound of exactly 0, so the
+    // nines interval's upper edge is +inf (consistent with any tiny PDL).
     const auto ci = run.result.pdl_interval();
-    // The Wilson lower bound is exactly 0 at zero observed losses; clear
-    // the floating-point residue so the nines interval's upper edge is the
-    // +inf it should be (zero losses are consistent with any tiny PDL).
-    e.pdl_lo = run.result.data_loss_missions == 0 ? 0.0 : ci.lo;
+    e.pdl_lo = ci.lo;
     e.pdl_hi = ci.hi;
     e.stochastic = true;
     e.samples = run.result.missions;

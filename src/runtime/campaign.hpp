@@ -142,7 +142,8 @@ struct CampaignReport {
 class CampaignRunner {
  public:
   /// Runs one unit, drawing randomness from the rng bound at attempt start
-  /// and accumulating into `acc`.
+  /// and accumulating into `acc`, the same accumulator object for every unit
+  /// of a shard attempt.
   using UnitRunner = std::function<void(CampaignAccumulator& acc)>;
   /// Called at the start of every shard attempt with the shard id and the
   /// attempt's generator (already positioned — fresh substream or restored

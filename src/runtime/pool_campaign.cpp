@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 
 namespace mlec {
@@ -17,6 +19,53 @@ constexpr const char* kRepairHours = "single_disk_repair_hours";
 constexpr const char* kEvents = "events_processed";
 constexpr const char* kRngDraws = "rng_draws";
 
+/// The accumulator slots one mission updates, looked up once. Binding
+/// creates any missing slot first, counters and stats each in a fixed
+/// order, so the layout never depends on which missions hit catastrophes;
+/// references are taken only after that, when no slot vector can grow.
+class LocalPoolSlots {
+ public:
+  explicit LocalPoolSlots(CampaignAccumulator& acc) : acc_(&acc) {
+    for (const char* name : {kMissions, kCatastrophes, kEvents, kRngDraws}) acc.counter(name);
+    acc.scalar(kPoolYears);
+    for (const char* name : {kLostFraction, kUnrebuiltTb, kRepairHours}) acc.stats(name);
+    missions_ = &acc.counter(kMissions);
+    catastrophes_ = &acc.counter(kCatastrophes);
+    events_ = &acc.counter(kEvents);
+    rng_draws_ = &acc.counter(kRngDraws);
+    pool_years_ = &acc.scalar(kPoolYears);
+    lost_fraction_ = &acc.stats(kLostFraction);
+    unrebuilt_tb_ = &acc.stats(kUnrebuiltTb);
+    repair_hours_ = &acc.stats(kRepairHours);
+  }
+
+  bool bound_to(const CampaignAccumulator& acc) const { return acc_ == &acc; }
+
+  void add(const LocalPoolSimResult& result) const {
+    *missions_ += result.missions;
+    *catastrophes_ += result.catastrophes;
+    *pool_years_ += result.pool_years;
+    for (const auto& s : result.samples) {
+      lost_fraction_->add(s.lost_stripe_fraction);
+      unrebuilt_tb_->add(s.unrebuilt_tb);
+    }
+    repair_hours_->merge(result.single_disk_repair_hours);
+    *events_ += result.events_processed;
+    *rng_draws_ += result.rng_draws;
+  }
+
+ private:
+  const CampaignAccumulator* acc_;
+  std::uint64_t* missions_;
+  std::uint64_t* catastrophes_;
+  std::uint64_t* events_;
+  std::uint64_t* rng_draws_;
+  double* pool_years_;
+  RunningStats* lost_fraction_;
+  RunningStats* unrebuilt_tb_;
+  RunningStats* repair_hours_;
+};
+
 }  // namespace
 
 LocalPoolStats LocalPoolCampaignResult::stats() const {
@@ -27,18 +76,7 @@ LocalPoolStats LocalPoolCampaignResult::stats() const {
 }
 
 void accumulate_local_pool_result(const LocalPoolSimResult& result, CampaignAccumulator& acc) {
-  acc.counter(kMissions) += result.missions;
-  acc.counter(kCatastrophes) += result.catastrophes;
-  acc.scalar(kPoolYears) += result.pool_years;
-  auto& frac = acc.stats(kLostFraction);
-  auto& unrebuilt = acc.stats(kUnrebuiltTb);
-  for (const auto& s : result.samples) {
-    frac.add(s.lost_stripe_fraction);
-    unrebuilt.add(s.unrebuilt_tb);
-  }
-  acc.stats(kRepairHours).merge(result.single_disk_repair_hours);
-  acc.counter(kEvents) += result.events_processed;
-  acc.counter(kRngDraws) += result.rng_draws;
+  LocalPoolSlots(acc).add(result);
 }
 
 std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
@@ -77,10 +115,18 @@ LocalPoolCampaignResult run_local_pool_campaign(const LocalPoolSimConfig& config
   campaign.progress = options.progress;
   campaign.pool_lane = options.pool_lane;
 
+  // One engine per shard attempt: validation and the finalized repair model
+  // are built here, once, never in a unit (as fleet_campaign.cpp does). The
+  // accumulator slots are likewise looked up once per attempt: every unit
+  // of an attempt gets the same accumulator.
   auto factory = [&config](std::uint32_t, Rng& rng) -> CampaignRunner::UnitRunner {
-    return [&config, &rng](CampaignAccumulator& acc) {
-      const LocalPoolSimResult one = simulate_local_pool(config, 1, rng);
-      accumulate_local_pool_result(one, acc);
+    auto engine = std::make_shared<LocalPoolEngine>(config);
+    auto slots = std::make_shared<std::optional<LocalPoolSlots>>();
+    return [engine, slots, &rng](CampaignAccumulator& acc) {
+      if (!*slots || !(*slots)->bound_to(acc)) slots->emplace(acc);
+      LocalPoolSimResult one;
+      engine->run_mission(rng, one);
+      (*slots)->add(one);
     };
   };
   // The splitting pipeline is rate-limited by the catastrophe count, whose

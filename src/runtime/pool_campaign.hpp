@@ -2,7 +2,8 @@
 // half of the splitting estimator, with checkpoint/resume, cancellation,
 // shard fault isolation, and adaptive stopping on the catastrophe count.
 //
-// One campaign unit = one pool mission. Shard s / attempt a draws from
+// One campaign unit = one pool mission, run by the LocalPoolEngine that
+// each shard attempt builds once. Shard s / attempt a draws from
 // Rng::for_substream(seed, s | a << 32); with the same seed, shard count,
 // and checkpoint file, a run killed mid-flight and resumed produces
 // bit-identical statistics to an uninterrupted run.

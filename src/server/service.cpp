@@ -87,6 +87,9 @@ SubmitOutcome EstimationService::submit(const SubmitRequest& request) {
   outcome.fingerprint = fingerprint;
 
   MutexLock lock(mutex_);
+  // A hit or a join changes nothing but counters: they are persisted with
+  // the next job state transition instead of rewriting the whole ledger for
+  // every such request.
   bump_locked("submissions");
 
   if (const auto hit = store_.memo.find(key); hit != store_.memo.end()) {
@@ -101,7 +104,6 @@ SubmitOutcome EstimationService::submit(const SubmitRequest& request) {
         break;
       }
     }
-    store_.save();
     return outcome;
   }
 
@@ -112,7 +114,6 @@ SubmitOutcome EstimationService::submit(const SubmitRequest& request) {
       bump_locked("joined");
       outcome.job_id = job.id;
       outcome.joined = true;
-      store_.save();
       return outcome;
     }
   }

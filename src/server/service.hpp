@@ -19,10 +19,11 @@
 //     preempts a running lower-class campaign: its StopToken fires, the
 //     campaign checkpoints and truncates at the next shard batch
 //     boundary, and the job is re-queued to resume later.
-//  5. persist — every state transition rewrites the durable store
-//     (server/store.hpp). A killed daemon reloads the ledger, re-queues
-//     whatever was in flight, and the campaign journals resume those jobs
-//     bit-identically.
+//  5. persist — every job state transition rewrites the durable store
+//     (server/store.hpp); memo hits and joins only bump counters, which
+//     ride along with the next transition. A killed daemon reloads the
+//     ledger, re-queues whatever was in flight, and the campaign journals
+//     resume those jobs bit-identically.
 //
 // Two execution modes share all of that: start() spawns background runner
 // threads (the daemon), while drain() runs queued jobs on the caller's

@@ -46,60 +46,66 @@ PoolRepairModel LocalPoolSimConfig::repair_model() const {
   return model;
 }
 
-LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& cfg, std::uint64_t missions,
-                                       Rng& rng, std::size_t max_samples) {
-  cfg.validate();
-  LocalPoolSimResult result;
-  result.missions = missions;
-  result.pool_years = static_cast<double>(missions) * cfg.mission_hours / units::kHoursPerYear;
+LocalPoolEngine::LocalPoolEngine(const LocalPoolSimConfig& config, std::size_t max_samples)
+    : mission_hours_(config.mission_hours), max_samples_(max_samples) {
+  config.validate();
+  const double lambda = config.afr / units::kHoursPerYear;  // per disk-hour
+  pool_rate_ = lambda * static_cast<double>(config.pool_disks);
+  stripes_in_pool_ = config.stripes_in_pool();
+  model_ = config.repair_model();
+}
 
-  const double lambda = cfg.afr / units::kHoursPerYear;  // per disk-hour
-  const double pool_rate = lambda * static_cast<double>(cfg.pool_disks);
-  const PoolRepairModel model = cfg.repair_model();
-  auto record_repair = [&](double start, double finish) {
-    result.single_disk_repair_hours.add(finish - start);
+void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
+  ++into.missions;
+  into.pool_years = static_cast<double>(into.missions) * mission_hours_ / units::kHoursPerYear;
+  auto record_repair = [&into](double start, double finish) {
+    into.single_disk_repair_hours.add(finish - start);
   };
 
-  // One pool state reused across missions: reset() keeps the failure
+  // The pool state is reused across missions: reset() keeps the failure
   // vector's capacity, so the mission loop allocates nothing.
-  LocalPoolState pool;
-  for (std::uint64_t m = 0; m < missions; ++m) {
-    double t = 0.0;
-    double next_fail = rng.exponential(pool_rate);
-    ++result.rng_draws;
-    pool.reset();
+  double t = 0.0;
+  double next_fail = rng.exponential(pool_rate_);
+  ++into.rng_draws;
+  pool_.reset();
 
-    while (true) {
-      // Earliest upcoming event: failure arrival, or the pool's own next
-      // detection/completion (shared state machine).
-      const double next_event = std::min(next_fail, pool.next_event_after(t, model));
-      if (next_event >= cfg.mission_hours) break;
-      pool.advance_to(next_event, model, record_repair);
-      t = next_event;
-      ++result.events_processed;
-      if (next_event < next_fail) continue;  // detection/completion handled above
+  while (true) {
+    // Earliest upcoming event: failure arrival, or the pool's own next
+    // detection/completion (shared state machine).
+    const double next_event = std::min(next_fail, pool_.next_event_after(t, model_));
+    if (next_event >= mission_hours_) break;
+    pool_.advance_to(next_event, model_, record_repair);
+    t = next_event;
+    ++into.events_processed;
+    if (next_event < next_fail) continue;  // detection/completion handled above
 
-      next_fail = t + rng.exponential(pool_rate);
-      ++result.rng_draws;
-      pool.add_failure(t, model);
+    next_fail = t + rng.exponential(pool_rate_);
+    ++into.rng_draws;
+    pool_.add_failure(t, model_);
 
-      if (pool.catastrophic(t, model)) {
-        ++result.catastrophes;
-        if (result.samples.size() < max_samples) {
-          CatastropheSample sample{};
-          sample.time_hours = t;
-          sample.concurrent_failures = static_cast<std::uint32_t>(pool.failures.size());
-          sample.unrebuilt_tb = pool.unrebuilt_tb();
-          sample.lost_stripe_fraction = pool.lost_stripe_fraction(model);
-          sample.lost_local_stripes = sample.lost_stripe_fraction * cfg.stripes_in_pool();
-          result.samples.push_back(sample);
-        }
-        pool.reset();
-      } else {
-        pool.extend_critical_window(t, model);
+    if (pool_.catastrophic(t, model_)) {
+      ++into.catastrophes;
+      if (into.samples.size() < max_samples_) {
+        CatastropheSample sample{};
+        sample.time_hours = t;
+        sample.concurrent_failures = static_cast<std::uint32_t>(pool_.failures.size());
+        sample.unrebuilt_tb = pool_.unrebuilt_tb();
+        sample.lost_stripe_fraction = pool_.lost_stripe_fraction(model_);
+        sample.lost_local_stripes = sample.lost_stripe_fraction * stripes_in_pool_;
+        into.samples.push_back(sample);
       }
+      pool_.reset();
+    } else {
+      pool_.extend_critical_window(t, model_);
     }
   }
+}
+
+LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& cfg, std::uint64_t missions,
+                                       Rng& rng, std::size_t max_samples) {
+  LocalPoolEngine engine(cfg, max_samples);
+  LocalPoolSimResult result;
+  for (std::uint64_t m = 0; m < missions; ++m) engine.run_mission(rng, result);
   return result;
 }
 

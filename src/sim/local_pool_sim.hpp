@@ -27,6 +27,7 @@
 //    are catastrophic, as in a clustered pool.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -87,10 +88,35 @@ struct LocalPoolSimResult {
   double catastrophe_probability_per_year() const;
 };
 
-/// Run `missions` independent missions (sequentially; callers parallelize by
-/// splitting rngs and merging results). After each catastrophe the pool is
-/// reset (network-level repair is stage 2's concern) and the mission
-/// continues, so the estimator is a rate, not a first-passage probability.
+/// One-mission-at-a-time view of the stage-1 simulator, the local-pool
+/// counterpart of FleetMissionEngine. Construction validates the config,
+/// finalizes the repair model and fixes the pool failure rate; every mission
+/// then reuses that physics and one LocalPoolState, so per-run work happens
+/// once per engine, never once per mission. The caller owns the Rng, so
+/// campaign shards can journal its state between missions.
+class LocalPoolEngine {
+ public:
+  explicit LocalPoolEngine(const LocalPoolSimConfig& config, std::size_t max_samples = 10000);
+
+  /// Simulate one mission, accumulating into `into`: the missions counter
+  /// goes up by one and pool_years becomes missions x mission length, so N
+  /// calls on a fresh result equal simulate_local_pool(N) bit for bit.
+  /// After each catastrophe the pool is reset (network-level repair is
+  /// stage 2's concern) and the mission continues, so the estimator is a
+  /// rate, not a first-passage probability.
+  void run_mission(Rng& rng, LocalPoolSimResult& into);
+
+ private:
+  double mission_hours_ = 0.0;
+  double pool_rate_ = 0.0;  ///< pool-wide failure rate per hour
+  double stripes_in_pool_ = 0.0;
+  std::size_t max_samples_ = 0;
+  PoolRepairModel model_;
+  LocalPoolState pool_;
+};
+
+/// Run `missions` independent missions on one LocalPoolEngine (sequentially;
+/// callers parallelize by splitting rngs and merging results).
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& config, std::uint64_t missions,
                                        Rng& rng, std::size_t max_samples = 10000);
 

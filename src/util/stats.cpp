@@ -65,7 +65,9 @@ ProportionEstimate::Interval ProportionEstimate::wilson(double z) const {
   const double denom = 1.0 + z2 / n;
   const double center = (p + z2 / (2.0 * n)) / denom;
   const double half = z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-  return {std::max(0.0, center - half), std::min(1.0, center + half)};
+  // At p = 0 or 1, center -/+ half can round one ulp short of p; clamping
+  // to p keeps lo <= p <= hi and changes nothing anywhere else.
+  return {std::min(p, std::max(0.0, center - half)), std::max(p, std::min(1.0, center + half))};
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {

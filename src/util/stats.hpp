@@ -66,6 +66,8 @@ class ProportionEstimate {
     double hi;
   };
   /// Wilson score interval at the given normal quantile (default 95%).
+  /// Always brackets the point estimate: lo <= estimate() <= hi, so zero
+  /// successes give lo == 0 and all successes hi == 1 exactly.
   Interval wilson(double z = 1.959964) const;
 
  private:

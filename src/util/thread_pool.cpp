@@ -27,14 +27,17 @@ std::size_t default_threads() {
 }
 
 /// Join/fault state of one parallel_chunks batch. Lives on the submitting
-/// thread's stack for the whole batch (every chunk decrements `remaining`
-/// before that frame can return). A named struct rather than loose locals
-/// because MLEC_GUARDED_BY can only annotate members.
+/// thread's stack for the whole batch. Every chunk decrements `remaining`
+/// and notifies with `mutex` held, and the submitter reads it only with
+/// `mutex` held, so the submitter cannot see zero and return (reusing the
+/// frame) before the last chunk has released the mutex and is done with the
+/// state. A named struct rather than loose locals because MLEC_GUARDED_BY
+/// can only annotate members.
 struct BatchState {
   Mutex mutex;
   CondVar done_cv;
   std::exception_ptr first_error MLEC_GUARDED_BY(mutex);
-  std::atomic<std::size_t> remaining;
+  std::size_t remaining MLEC_GUARDED_BY(mutex);
   std::atomic<bool> abandoned{false};
 
   explicit BatchState(std::size_t chunks) : remaining(chunks) {}
@@ -118,18 +121,14 @@ void ThreadPool::parallel_chunks(
           state.abandoned.store(true, std::memory_order_release);
         }
       }
-      if (state.remaining.fetch_sub(1) == 1) {
-        // Notify with the mutex held: the waiter checks `remaining` only
-        // while holding it, so the final wakeup cannot be lost.
-        MutexLock lock(state.mutex);
-        state.done_cv.notify_all();
-      }
+      MutexLock lock(state.mutex);
+      if (--state.remaining == 0) state.done_cv.notify_all();
     });
   }
   std::exception_ptr first_error;
   {
     MutexLock lock(state.mutex);
-    while (state.remaining.load() != 0) state.done_cv.wait(state.mutex);
+    while (state.remaining != 0) state.done_cv.wait(state.mutex);
     first_error = state.first_error;
   }
   if (first_error) std::rethrow_exception(first_error);

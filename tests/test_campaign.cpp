@@ -20,6 +20,7 @@
 
 #include "runtime/fleet_campaign.hpp"
 #include "runtime/journal.hpp"
+#include "runtime/pool_campaign.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -580,6 +581,46 @@ TEST(FleetCampaign, AdaptiveStoppingOnPdl) {
   EXPECT_FALSE(out.result.truncated);
   EXPECT_LT(out.report.units_done, 100'000u);
   EXPECT_GT(out.result.data_loss_missions, 0u);
+}
+
+TEST(LocalPoolCampaign, OneShardMatchesSimulateLocalPoolOnSubstreamZero) {
+  // Shard 0, attempt 0 draws from Rng::for_substream(seed, 0), so a 1-shard
+  // campaign runs exactly simulate_local_pool's missions on that stream.
+  LocalPoolSimConfig cfg;
+  cfg.code = {3, 1};
+  cfg.pool_disks = 4;
+  cfg.afr = 0.5;
+  const std::uint64_t missions = 3000;
+  const std::uint64_t seed = 42;
+  LocalPoolCampaignOptions one_shard;
+  one_shard.shards = 1;
+  const auto campaign = run_local_pool_campaign(cfg, missions, seed, one_shard);
+  Rng rng = Rng::for_substream(seed, 0);
+  const auto direct = simulate_local_pool(cfg, missions, rng);
+  ASSERT_GT(direct.catastrophes, 0u);
+
+  EXPECT_EQ(campaign.missions, direct.missions);
+  EXPECT_EQ(campaign.catastrophes, direct.catastrophes);
+  EXPECT_EQ(campaign.events_processed, direct.events_processed);
+  EXPECT_EQ(campaign.rng_draws, direct.rng_draws);
+  // Per-catastrophe statistics are added in the same order on both paths.
+  RunningStats frac, unrebuilt;
+  for (const auto& s : direct.samples) {
+    frac.add(s.lost_stripe_fraction);
+    unrebuilt.add(s.unrebuilt_tb);
+  }
+  EXPECT_TRUE(campaign.lost_stripe_fraction == frac);
+  EXPECT_TRUE(campaign.unrebuilt_tb == unrebuilt);
+  // The campaign sums per-mission pool-years and merges per-mission repair
+  // statistics where the direct run multiplies once and adds every repair
+  // time, so these agree up to rounding.
+  EXPECT_DOUBLE_EQ(campaign.pool_years, direct.pool_years);
+  const RunningStats& repairs = campaign.single_disk_repair_hours;
+  EXPECT_EQ(repairs.count(), direct.single_disk_repair_hours.count());
+  EXPECT_NEAR(repairs.mean(), direct.single_disk_repair_hours.mean(),
+              1e-12 * direct.single_disk_repair_hours.mean());
+  EXPECT_EQ(repairs.min(), direct.single_disk_repair_hours.min());
+  EXPECT_EQ(repairs.max(), direct.single_disk_repair_hours.max());
 }
 
 TEST(FleetCampaign, FingerprintTracksPhysicsChanges) {

@@ -101,6 +101,43 @@ TEST(LocalPoolSim, MergeAccumulates) {
   EXPECT_NEAR(merged.pool_years, 1000.0, 1e-9);
 }
 
+void expect_identical(const LocalPoolSimResult& a, const LocalPoolSimResult& b) {
+  EXPECT_EQ(a.missions, b.missions);
+  EXPECT_EQ(a.catastrophes, b.catastrophes);
+  EXPECT_EQ(a.pool_years, b.pool_years);  // bit-exact, not approximate
+  EXPECT_TRUE(a.single_disk_repair_hours == b.single_disk_repair_hours);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.rng_draws, b.rng_draws);
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    EXPECT_EQ(a.samples[i].time_hours, b.samples[i].time_hours);
+    EXPECT_EQ(a.samples[i].concurrent_failures, b.samples[i].concurrent_failures);
+    EXPECT_EQ(a.samples[i].lost_local_stripes, b.samples[i].lost_local_stripes);
+    EXPECT_EQ(a.samples[i].lost_stripe_fraction, b.samples[i].lost_stripe_fraction);
+    EXPECT_EQ(a.samples[i].unrebuilt_tb, b.samples[i].unrebuilt_tb);
+  }
+}
+
+TEST(LocalPoolEngine, MissionByMissionEqualsSimulateLocalPool) {
+  LocalPoolSimConfig declustered;
+  declustered.code = {4, 2};
+  declustered.placement = Placement::kDeclustered;
+  declustered.pool_disks = 24;
+  declustered.afr = 0.9;
+  declustered.disk_capacity_tb = 30.0;
+  for (const LocalPoolSimConfig& cfg : {clustered_cfg(0.9), declustered}) {
+    constexpr std::uint64_t kMissions = 1500;
+    Rng batch_rng(21), engine_rng(21);
+    const auto batch = simulate_local_pool(cfg, kMissions, batch_rng);
+    LocalPoolEngine engine(cfg);
+    LocalPoolSimResult stepped;
+    for (std::uint64_t m = 0; m < kMissions; ++m) engine.run_mission(engine_rng, stepped);
+    ASSERT_GT(batch.catastrophes, 0u);
+    expect_identical(stepped, batch);
+    EXPECT_EQ(engine_rng.state(), batch_rng.state());
+  }
+}
+
 TEST(LocalPoolSim, ConfigValidation) {
   LocalPoolSimConfig cfg;
   cfg.pool_disks = 5;  // smaller than (17+3)

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,6 +168,42 @@ TEST(EstimationService, DurableMemoSurvivesRestart) {
   EXPECT_TRUE(outcome.cached);
   ASSERT_TRUE(outcome.estimate.has_value());
   EXPECT_EQ(diff_estimates(*outcome.estimate, first_bits), "");
+  std::filesystem::remove_all(dir);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(EstimationService, JoinsAndHitsLeaveTheLedgerUntouched) {
+  // Only job state transitions rewrite state.json. A join or a memo hit
+  // changes nothing but counters, which status() reports at once and the
+  // next transition persists.
+  const auto dir =
+      (std::filesystem::path(::testing::TempDir()) / "mlec-server-ledger").string();
+  std::filesystem::remove_all(dir);
+  ServiceConfig config = in_memory_config();
+  config.state_dir = dir;
+  EstimationService service(config);
+  const std::string state = dir + "/state.json";
+
+  const SubmitOutcome first = service.submit(sim_request());
+  const std::string queued = file_bytes(state);
+  ASSERT_FALSE(queued.empty());
+  EXPECT_TRUE(service.submit(sim_request()).joined);
+  EXPECT_EQ(file_bytes(state), queued);
+  EXPECT_EQ(service.status().counters.at("joined"), 1u);
+
+  service.drain();
+  ASSERT_EQ(service.wait(first.job_id).state, "done");
+  const std::string done = file_bytes(state);
+  EXPECT_NE(done.find("\"joined\""), std::string::npos);  // saved by the transition
+  EXPECT_TRUE(service.submit(sim_request()).cached);
+  EXPECT_EQ(file_bytes(state), done);
+  EXPECT_EQ(service.status().counters.at("cache_hits"), 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -86,6 +86,22 @@ TEST(ProportionEstimate, WilsonBracketsTruth) {
   EXPECT_GE(covered, 180);
 }
 
+TEST(ProportionEstimate, WilsonBracketsTheEstimateAtTheEdges) {
+  // At p = 0 and p = 1 the score interval's edge lands within rounding of
+  // p; it must still contain the point estimate, exactly.
+  for (std::uint64_t n = 1; n <= 20000; ++n) {
+    ProportionEstimate all, none;
+    all.add_many(n, n);
+    none.add_many(0, n);
+    const auto hi = all.wilson();
+    ASSERT_EQ(hi.hi, 1.0) << "n = " << n;
+    ASSERT_LE(hi.lo, 1.0) << "n = " << n;
+    const auto lo = none.wilson();
+    ASSERT_EQ(lo.lo, 0.0) << "n = " << n;
+    ASSERT_GE(lo.hi, 0.0) << "n = " << n;
+  }
+}
+
 TEST(ProportionEstimate, EmptyInterval) {
   ProportionEstimate p;
   const auto ci = p.wilson();

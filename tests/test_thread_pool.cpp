@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -119,6 +120,29 @@ TEST(ThreadPool, SumIsCorrectUnderContention) {
   std::atomic<long long> total{0};
   pool.parallel_for(1, 10001, [&](std::size_t i) { total.fetch_add(static_cast<long long>(i)); });
   EXPECT_EQ(total.load(), 50005000LL);
+}
+
+TEST(ThreadPool, ConcurrentSubmittersOfTinyBatches) {
+  // Each call's batch state lives on its submitter's stack. Several threads
+  // making many tiny 4-chunk calls on one pool make the last chunk of a
+  // batch race its submitter's return into the next call's frame; the
+  // sanitizer builds report a chunk that still touches the old state.
+  ThreadPool pool(4);
+  constexpr int kSubmitters = 4;
+  constexpr int kCallsEach = 3000;
+  std::atomic<std::size_t> units{0};
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&] {
+      for (int call = 0; call < kCallsEach; ++call) {
+        pool.parallel_chunks(0, 4, 4, [&](std::size_t, std::size_t lo, std::size_t hi) {
+          units.fetch_add(hi - lo, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  EXPECT_EQ(units.load(), std::size_t{4} * kSubmitters * kCallsEach);
 }
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {
