@@ -21,11 +21,27 @@ namespace mlec {
 
 namespace {
 
-/// Journal path for one method under a shared base path (--method=all runs
-/// several campaigns; each needs its own journal identity).
-std::string method_checkpoint(const EstimateOptions& options, std::string_view method) {
-  if (options.checkpoint_path.empty()) return {};
-  return options.checkpoint_path + "." + std::string(method);
+/// The campaign a campaign-backed method runs: `units` missions from `seed`
+/// under the caller's execution knobs. The journal goes to
+/// "<checkpoint_path>.<method>" (--method=all runs several campaigns; each
+/// needs its own journal identity).
+CampaignConfig method_campaign(const EstimateOptions& options, std::string_view method,
+                               std::uint64_t units, std::uint64_t seed) {
+  CampaignConfig campaign;
+  campaign.total_units = units;
+  campaign.seed = seed;
+  campaign.shards = options.shards;
+  campaign.checkpoint_every = options.checkpoint_every;
+  if (!options.checkpoint_path.empty())
+    campaign.checkpoint_path = options.checkpoint_path + "." + std::string(method);
+  campaign.resume = options.resume;
+  campaign.shard_timeout_s = options.shard_timeout_s;
+  campaign.target_rse = options.target_rse;
+  campaign.unit_budget = options.unit_budget;
+  campaign.stop = options.stop;
+  campaign.progress = options.progress;
+  campaign.pool_lane = options.pool_lane;
+  return campaign;
 }
 
 void require_applicable(const Estimator& estimator, const Scenario& scenario) {
@@ -108,19 +124,9 @@ class SimEstimator final : public Estimator {
     require_applicable(*this, scenario);
     MLEC_FAULT_POINT("estimator.sim.pre");
 
-    FleetCampaignOptions campaign;
-    campaign.checkpoint_path = method_checkpoint(options, name());
-    campaign.resume = options.resume;
-    campaign.shards = options.shards;
-    campaign.checkpoint_every = options.checkpoint_every;
-    campaign.shard_timeout_s = options.shard_timeout_s;
-    campaign.target_rse = options.target_rse;
-    campaign.unit_budget = options.unit_budget;
-    campaign.stop = options.stop;
-    campaign.progress = options.progress;
-    campaign.pool_lane = options.pool_lane;
-    const FleetCampaignResult run = run_fleet_campaign(scenario.fleet_config(), scenario.missions,
-                                                       scenario.seed, campaign, options.pool);
+    const FleetCampaignResult run = run_fleet_campaign(
+        scenario.fleet_config(),
+        method_campaign(options, name(), scenario.missions, scenario.seed), options.pool);
 
     Estimate e;
     e.method = std::string(name());
@@ -174,20 +180,9 @@ class SplitEstimator final : public Estimator {
     require_applicable(*this, scenario);
     MLEC_FAULT_POINT("estimator.split.pre");
 
-    LocalPoolCampaignOptions campaign;
-    campaign.checkpoint_path = method_checkpoint(options, name());
-    campaign.resume = options.resume;
-    campaign.shards = options.shards;
-    campaign.checkpoint_every = options.checkpoint_every;
-    campaign.shard_timeout_s = options.shard_timeout_s;
-    campaign.target_rse = options.target_rse;
-    campaign.unit_budget = options.unit_budget;
-    campaign.stop = options.stop;
-    campaign.progress = options.progress;
-    campaign.pool_lane = options.pool_lane;
     const LocalPoolCampaignResult stage1_run = run_local_pool_campaign(
-        scenario.local_pool_config(), scenario.split_missions, scenario.seed, campaign,
-        options.pool);
+        scenario.local_pool_config(),
+        method_campaign(options, name(), scenario.split_missions, scenario.seed), options.pool);
 
     Estimate e;
     e.method = std::string(name());

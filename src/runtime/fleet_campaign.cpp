@@ -73,27 +73,10 @@ std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
   return os.str();
 }
 
-FleetCampaignResult run_fleet_campaign(const FleetSimConfig& config, std::uint64_t missions,
-                                       std::uint64_t seed,
-                                       const FleetCampaignOptions& options, ThreadPool* pool) {
+FleetCampaignResult run_fleet_campaign(const FleetSimConfig& config, CampaignConfig campaign,
+                                       ThreadPool* pool) {
   config.validate();
-
-  CampaignConfig campaign;
-  campaign.total_units = missions;
-  campaign.seed = seed;
-  campaign.shards = options.shards;
-  campaign.checkpoint_every = options.checkpoint_every;
-  campaign.checkpoint_path = options.checkpoint_path;
-  campaign.resume = options.resume;
-  campaign.max_attempts = options.max_attempts;
-  campaign.retry_backoff_ms = options.retry_backoff_ms;
-  campaign.shard_timeout_s = options.shard_timeout_s;
-  campaign.target_rse = options.target_rse;
-  campaign.unit_budget = options.unit_budget;
   campaign.fingerprint = fleet_campaign_fingerprint(config);
-  campaign.stop = options.stop;
-  campaign.progress = options.progress;
-  campaign.pool_lane = options.pool_lane;
 
   // One immutable context (validated config + lookup tables) shared by every
   // shard's engine; each engine keeps only its own mutable trial state.

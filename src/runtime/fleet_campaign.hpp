@@ -15,31 +15,6 @@
 
 namespace mlec {
 
-struct FleetCampaignOptions {
-  /// Journal file; empty runs in-memory (no persistence).
-  std::string checkpoint_path;
-  /// Resume from checkpoint_path if it exists (see CampaignConfig::resume).
-  bool resume = false;
-  std::uint64_t checkpoint_every = 256;
-  std::size_t shards = 0;  ///< 0 = derive from the pool
-  std::size_t max_attempts = 3;
-  double retry_backoff_ms = 100.0;
-  /// Shard watchdog deadline in seconds; 0 disables (see
-  /// CampaignConfig::shard_timeout_s).
-  double shard_timeout_s = 0.0;
-  /// Stop early once the PDL estimate's relative standard error drops below
-  /// this (0 disables adaptive stopping).
-  double target_rse = 0.0;
-  /// Max missions to run this invocation (0 = unlimited); deterministic
-  /// stand-in for a wall-clock budget.
-  std::uint64_t unit_budget = 0;
-  StopToken stop{};
-  /// Per-commit progress feed (see CampaignConfig::progress).
-  std::function<void(const CampaignProgress&)> progress;
-  /// ThreadPool dispatch lane (see CampaignConfig::pool_lane).
-  std::size_t pool_lane = kLaneNormal;
-};
-
 struct FleetCampaignResult {
   FleetSimResult result;
   CampaignReport report;
@@ -54,9 +29,11 @@ FleetSimResult fleet_result_from(const CampaignAccumulator& acc);
 /// physics configuration invalidates old checkpoints.
 std::string fleet_campaign_fingerprint(const FleetSimConfig& config);
 
-FleetCampaignResult run_fleet_campaign(const FleetSimConfig& config, std::uint64_t missions,
-                                       std::uint64_t seed,
-                                       const FleetCampaignOptions& options = {},
+/// Run `campaign.total_units` missions of `config`. The caller sets the
+/// seed and execution knobs; the fingerprint is set here from
+/// fleet_campaign_fingerprint. target_rse stops on the PDL estimate's
+/// relative standard error.
+FleetCampaignResult run_fleet_campaign(const FleetSimConfig& config, CampaignConfig campaign,
                                        ThreadPool* pool = nullptr);
 
 }  // namespace mlec

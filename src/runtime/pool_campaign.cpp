@@ -75,10 +75,6 @@ LocalPoolStats LocalPoolCampaignResult::stats() const {
   return s;
 }
 
-void accumulate_local_pool_result(const LocalPoolSimResult& result, CampaignAccumulator& acc) {
-  LocalPoolSlots(acc).add(result);
-}
-
 std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
   std::ostringstream os;
   os.precision(17);
@@ -93,27 +89,9 @@ std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
 }
 
 LocalPoolCampaignResult run_local_pool_campaign(const LocalPoolSimConfig& config,
-                                                std::uint64_t missions, std::uint64_t seed,
-                                                const LocalPoolCampaignOptions& options,
-                                                ThreadPool* pool) {
+                                                CampaignConfig campaign, ThreadPool* pool) {
   config.validate();
-
-  CampaignConfig campaign;
-  campaign.total_units = missions;
-  campaign.seed = seed;
-  campaign.shards = options.shards;
-  campaign.checkpoint_every = options.checkpoint_every;
-  campaign.checkpoint_path = options.checkpoint_path;
-  campaign.resume = options.resume;
-  campaign.max_attempts = options.max_attempts;
-  campaign.retry_backoff_ms = options.retry_backoff_ms;
-  campaign.shard_timeout_s = options.shard_timeout_s;
-  campaign.target_rse = options.target_rse;
-  campaign.unit_budget = options.unit_budget;
   campaign.fingerprint = local_pool_campaign_fingerprint(config);
-  campaign.stop = options.stop;
-  campaign.progress = options.progress;
-  campaign.pool_lane = options.pool_lane;
 
   // One engine per shard attempt: validation and the finalized repair model
   // are built here, once, never in a unit (as fleet_campaign.cpp does). The

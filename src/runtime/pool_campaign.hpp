@@ -18,29 +18,6 @@
 
 namespace mlec {
 
-struct LocalPoolCampaignOptions {
-  /// Journal file; empty runs in-memory (no persistence).
-  std::string checkpoint_path;
-  bool resume = false;
-  std::uint64_t checkpoint_every = 256;
-  std::size_t shards = 0;  ///< 0 = derive from the pool
-  std::size_t max_attempts = 3;
-  double retry_backoff_ms = 100.0;
-  /// Shard watchdog deadline in seconds; 0 disables (see
-  /// CampaignConfig::shard_timeout_s).
-  double shard_timeout_s = 0.0;
-  /// Stop early once the catastrophe count's Poisson relative standard
-  /// error (1/sqrt(count)) drops below this (0 disables).
-  double target_rse = 0.0;
-  /// Max missions to run this invocation (0 = unlimited).
-  std::uint64_t unit_budget = 0;
-  StopToken stop{};
-  /// Per-commit progress feed (see CampaignConfig::progress).
-  std::function<void(const CampaignProgress&)> progress;
-  /// ThreadPool dispatch lane (see CampaignConfig::pool_lane).
-  std::size_t pool_lane = kLaneNormal;
-};
-
 struct LocalPoolCampaignResult {
   std::uint64_t missions = 0;
   std::uint64_t catastrophes = 0;
@@ -60,18 +37,16 @@ struct LocalPoolCampaignResult {
   LocalPoolStats stats() const;
 };
 
-/// Translate one LocalPoolSimResult into campaign accumulator slots.
-/// Touches every slot on every call so the accumulator layout is
-/// deterministic regardless of which missions hit catastrophes.
-void accumulate_local_pool_result(const LocalPoolSimResult& result, CampaignAccumulator& acc);
-
 /// Identity string folded into the journal fingerprint: any change to the
 /// physics configuration invalidates old checkpoints.
 std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config);
 
+/// Run `campaign.total_units` pool missions of `config`. The caller sets
+/// the seed and execution knobs; the fingerprint is set here from
+/// local_pool_campaign_fingerprint. target_rse stops on the catastrophe
+/// count's Poisson relative standard error, 1/sqrt(count).
 LocalPoolCampaignResult run_local_pool_campaign(const LocalPoolSimConfig& config,
-                                                std::uint64_t missions, std::uint64_t seed,
-                                                const LocalPoolCampaignOptions& options = {},
+                                                CampaignConfig campaign,
                                                 ThreadPool* pool = nullptr);
 
 }  // namespace mlec

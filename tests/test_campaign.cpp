@@ -473,19 +473,21 @@ TEST(FleetCampaign, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   const std::uint64_t missions = 64;
   const std::uint64_t seed = 2023;
 
-  FleetCampaignOptions uninterrupted;
+  CampaignConfig uninterrupted;
+  uninterrupted.total_units = missions;
+  uninterrupted.seed = seed;
   uninterrupted.shards = 4;
   uninterrupted.checkpoint_every = 4;
-  const auto full = run_fleet_campaign(cfg, missions, seed, uninterrupted);
+  const auto full = run_fleet_campaign(cfg, uninterrupted);
   EXPECT_TRUE(full.report.complete());
   EXPECT_FALSE(full.result.truncated);
   EXPECT_GT(full.result.disk_failures, 0u);
 
   // "Kill" the campaign halfway through via a deterministic unit budget...
-  FleetCampaignOptions first_half = uninterrupted;
+  CampaignConfig first_half = uninterrupted;
   first_half.checkpoint_path = path;
   first_half.unit_budget = missions / 2;
-  const auto partial = run_fleet_campaign(cfg, missions, seed, first_half);
+  const auto partial = run_fleet_campaign(cfg, first_half);
   EXPECT_TRUE(partial.report.truncated);
   EXPECT_TRUE(partial.result.truncated);
   EXPECT_FALSE(partial.report.complete());
@@ -493,10 +495,10 @@ TEST(FleetCampaign, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   EXPECT_LT(partial.report.units_done, missions);
 
   // ...then resume from the journal and finish.
-  FleetCampaignOptions second_half = uninterrupted;
+  CampaignConfig second_half = uninterrupted;
   second_half.checkpoint_path = path;
   second_half.resume = true;
-  const auto resumed = run_fleet_campaign(cfg, missions, seed, second_half);
+  const auto resumed = run_fleet_campaign(cfg, second_half);
   EXPECT_TRUE(resumed.report.resumed);
   EXPECT_TRUE(resumed.report.complete());
   EXPECT_FALSE(resumed.result.truncated);
@@ -516,10 +518,12 @@ TEST(FleetCampaign, CrashAtEveryCheckpointBoundaryResumesBitIdentical) {
   const std::uint64_t missions = 32;
   const std::uint64_t seed = 404;
 
-  FleetCampaignOptions options;
+  CampaignConfig options;
+  options.total_units = missions;
+  options.seed = seed;
   options.shards = 2;
   options.checkpoint_every = 4;
-  const auto full = run_fleet_campaign(cfg, missions, seed, options);
+  const auto full = run_fleet_campaign(cfg, options);
   ASSERT_TRUE(full.report.complete());
 
   int boundaries_hit = 0;
@@ -536,10 +540,10 @@ TEST(FleetCampaign, CrashAtEveryCheckpointBoundaryResumesBitIdentical) {
       // the injected crash, 64 means the run outlived the schedule (no more
       // boundaries to kill), anything else is a real failure.
       fault::configure("campaign.checkpoint.post=crash@hit=" + std::to_string(hit));
-      FleetCampaignOptions child = options;
+      CampaignConfig child = options;
       child.checkpoint_path = path;
       try {
-        (void)run_fleet_campaign(cfg, missions, seed, child);
+        (void)run_fleet_campaign(cfg, child);
         std::_Exit(64);
       } catch (...) {
         std::_Exit(65);
@@ -553,10 +557,10 @@ TEST(FleetCampaign, CrashAtEveryCheckpointBoundaryResumesBitIdentical) {
     ASSERT_EQ(code, 42) << "child failed for a reason other than the injected crash";
     ++boundaries_hit;
 
-    FleetCampaignOptions resume = options;
+    CampaignConfig resume = options;
     resume.checkpoint_path = path;
     resume.resume = true;
-    const auto resumed = run_fleet_campaign(cfg, missions, seed, resume);
+    const auto resumed = run_fleet_campaign(cfg, resume);
     EXPECT_TRUE(resumed.report.complete()) << "crash at checkpoint " << hit;
     expect_identical(resumed.result, full.result);
     std::remove(path.c_str());
@@ -571,11 +575,13 @@ TEST(FleetCampaign, CrashAtEveryCheckpointBoundaryResumesBitIdentical) {
 TEST(FleetCampaign, AdaptiveStoppingOnPdl) {
   auto cfg = small_fleet();
   cfg.failures.afr = 2.0;  // lossy enough that the PDL estimate converges fast
-  FleetCampaignOptions options;
+  CampaignConfig options;
+  options.total_units = 100'000;
+  options.seed = 77;
   options.shards = 2;
   options.checkpoint_every = 8;
   options.target_rse = 0.5;
-  const auto out = run_fleet_campaign(cfg, 100'000, 77, options);
+  const auto out = run_fleet_campaign(cfg, options);
   EXPECT_TRUE(out.report.converged);
   EXPECT_FALSE(out.report.truncated);
   EXPECT_FALSE(out.result.truncated);
@@ -592,9 +598,11 @@ TEST(LocalPoolCampaign, OneShardMatchesSimulateLocalPoolOnSubstreamZero) {
   cfg.afr = 0.5;
   const std::uint64_t missions = 3000;
   const std::uint64_t seed = 42;
-  LocalPoolCampaignOptions one_shard;
+  CampaignConfig one_shard;
+  one_shard.total_units = missions;
+  one_shard.seed = seed;
   one_shard.shards = 1;
-  const auto campaign = run_local_pool_campaign(cfg, missions, seed, one_shard);
+  const auto campaign = run_local_pool_campaign(cfg, one_shard);
   Rng rng = Rng::for_substream(seed, 0);
   const auto direct = simulate_local_pool(cfg, missions, rng);
   ASSERT_GT(direct.catastrophes, 0u);

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
+#include "core/spec_io.hpp"
 #include "util/error.hpp"
+#include "util/ini.hpp"
 
 namespace mlec {
 namespace {
@@ -198,6 +201,27 @@ TEST(Estimators, SplitKillAndResumeIsBitIdentical) {
   EXPECT_EQ(resumed.pdl, full.pdl);
   EXPECT_EQ(resumed.cat_rate_per_year, full.cat_rate_per_year);
   std::remove((base + ".split").c_str());
+}
+
+TEST(Estimators, CampaignKnobsReachTheCampaign) {
+  // checkpoint_every sets the batch at which the unit budget is checked:
+  // with the default 256 the one shard would run 256 missions, not 8.
+  const std::string path = std::string(MLEC_SCENARIO_DIR) + "/crosscheck_mlec.ini";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  Scenario sc = load_scenario(IniFile::parse(in));
+  sc.missions = sc.split_missions = 1000;
+  EstimateOptions options;
+  options.shards = 1;
+  options.checkpoint_every = 8;
+  options.unit_budget = 8;
+  for (const char* method : {"sim", "split"}) {
+    SCOPED_TRACE(method);
+    const Estimate e = find_estimator(method)->estimate(sc, options);
+    EXPECT_EQ(e.samples, 8u);
+    EXPECT_TRUE(e.truncated);
+    EXPECT_EQ(e.campaign.shards.size(), 1u);
+  }
 }
 
 TEST(Estimators, NinesMatchesPdl) {

@@ -445,16 +445,19 @@ int cmd_simulate(const Options& opt) {
   stop_source.watch_signals();  // SIGINT/SIGTERM end the run at a batch boundary
   if (opt.time_budget_s > 0.0) stop_source.set_deadline_after(opt.time_budget_s);
 
-  FleetCampaignOptions campaign;
+  CampaignConfig campaign;
+  campaign.total_units = missions;
+  campaign.seed = opt.scenario.seed;
   campaign.checkpoint_path = opt.checkpoint_path;
   campaign.resume = opt.resume;
   campaign.shards = opt.shards;
+  campaign.checkpoint_every = opt.checkpoint_every;
   campaign.target_rse = opt.target_rse;
   campaign.unit_budget = opt.unit_budget;
   campaign.shard_timeout_s = opt.shard_timeout_s;
   campaign.stop = stop_source.token();
 
-  const auto fc = run_fleet_campaign(cfg, missions, opt.scenario.seed, campaign, &global_pool());
+  const auto fc = run_fleet_campaign(cfg, std::move(campaign), &global_pool());
   const auto& r = fc.result;
   const auto& rep = fc.report;
 
