@@ -1,14 +1,19 @@
 // Throughput benchmark of the fleet-simulation core (zero-allocation
-// TrialArena, IndexedMinHeap with decrease-key/remove, batched exponential
-// fills, shared immutable context): single-threaded trials/sec on the
-// bundled crosscheck scenarios. Its speedup over the pre-rewrite event loop
-// is recorded in EXPERIMENTS.md.
+// TrialArena, IndexedMinHeap with decrease-key/remove, batched ziggurat
+// exponential fills, shared immutable context): single-threaded trials/sec
+// on the bundled crosscheck scenarios. Its history is recorded in
+// EXPERIMENTS.md.
 //
 // A second table times stage 1 of the split estimator on crosscheck_mlec's
 // local pool two ways in one process: the bare simulate_local_pool loop and
 // a 1-shard in-memory run_local_pool_campaign over the same missions. Their
 // per-mission ratio is what the campaign path adds to the engine loop; as a
 // ratio of two timings on one host it does not depend on the host's speed.
+//
+// Every timing is repeated; the JSON records the host (CPU model, nproc,
+// compiler, build type, EC backend), the repetition count, and the minimum
+// and median of each timing. Throughputs and the stage-1 ratio are taken
+// from the minima, which discard preemption and frequency ramps.
 //
 //   bench_sim_core [--quick] [--json[=PATH]] [--min-tps=X]
 //                  [--max-stage1-ratio=X] [--scenario-dir=DIR]
@@ -26,12 +31,14 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/fleet_sim.hpp"
 #include "core/spec_io.hpp"
+#include "ec/backend.hpp"
 #include "runtime/pool_campaign.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
@@ -40,17 +47,35 @@ namespace {
 
 using namespace mlec;
 
+/// Minimum and median of one timing's repetitions.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  return {samples.front(),
+          n % 2 == 1 ? samples[n / 2] : 0.5 * (samples[n / 2 - 1] + samples[n / 2])};
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 struct ScenarioRow {
   std::string name;
   std::uint64_t missions = 0;
-  double elapsed_s = 0.0;
-  double trials_per_sec = 0.0;
-  double events_per_sec = 0.0;
+  int reps = 0;
+  Spread elapsed_s;
+  double trials_per_sec = 0.0;  ///< at the minimum elapsed
+  double events_per_sec = 0.0;  ///< at the minimum elapsed
   FleetSimResult result;
 };
 
-/// Best-of-`reps` timing of simulate_fleet: the minimum elapsed discards
-/// noise from scheduler preemption and frequency ramps.
+/// `reps` timings of simulate_fleet on one seed (every repetition computes
+/// the same result).
 ScenarioRow measure(const Scenario& sc, std::uint64_t missions, int reps) {
   const FleetSimConfig cfg = sc.fleet_config();
   // Warmup primes caches and allocators.
@@ -58,19 +83,16 @@ ScenarioRow measure(const Scenario& sc, std::uint64_t missions, int reps) {
   ScenarioRow row;
   row.name = sc.name;
   row.missions = missions;
-  row.elapsed_s = std::numeric_limits<double>::infinity();
+  row.reps = reps;
+  std::vector<double> elapsed;
   for (int r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
-    FleetSimResult result = simulate_fleet(cfg, missions, sc.seed);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (elapsed < row.elapsed_s) {
-      row.elapsed_s = elapsed;
-      row.result = result;
-    }
+    row.result = simulate_fleet(cfg, missions, sc.seed);
+    elapsed.push_back(seconds_since(start));
   }
-  row.trials_per_sec = static_cast<double>(missions) / row.elapsed_s;
-  row.events_per_sec = static_cast<double>(row.result.events_processed) / row.elapsed_s;
+  row.elapsed_s = spread_of(elapsed);
+  row.trials_per_sec = static_cast<double>(missions) / row.elapsed_s.min;
+  row.events_per_sec = static_cast<double>(row.result.events_processed) / row.elapsed_s.min;
   return row;
 }
 
@@ -78,43 +100,42 @@ ScenarioRow measure(const Scenario& sc, std::uint64_t missions, int reps) {
 struct Stage1Row {
   std::string name;
   std::uint64_t missions = 0;
-  double loop_us = 0.0;      ///< simulate_local_pool
-  double campaign_us = 0.0;  ///< 1-shard in-memory run_local_pool_campaign
-  double ratio = 0.0;        ///< campaign_us / loop_us
+  int reps = 0;
+  Spread loop_us;      ///< simulate_local_pool, per mission
+  Spread campaign_us;  ///< 1-shard in-memory run_local_pool_campaign, per mission
+  double ratio = 0.0;  ///< campaign_us.min / loop_us.min
 };
 
-/// Best-of-`reps` per-mission cost of both stage-1 paths on `sc`'s local
-/// pool. The two paths alternate, so a drift in host speed hits both, and a
-/// first untimed round warms both up.
+/// `reps` per-mission timings of both stage-1 paths on `sc`'s local pool.
+/// The two paths alternate, so a drift in host speed hits both, and a first
+/// untimed round warms both up.
 Stage1Row measure_stage1(const Scenario& sc, std::uint64_t missions, int reps) {
   const LocalPoolSimConfig config = sc.local_pool_config();
   CampaignConfig one_shard;
   one_shard.total_units = missions;
   one_shard.seed = sc.seed;
   one_shard.shards = 1;
-  auto seconds = [](auto&& run) {
-    const auto start = std::chrono::steady_clock::now();
-    run();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  };
-  double loop_s = std::numeric_limits<double>::infinity();
-  double campaign_s = loop_s;
+  const double per_mission_us = 1e6 / static_cast<double>(missions);
+  std::vector<double> loop_us, campaign_us;
   for (int r = 0; r <= reps; ++r) {
-    const double loop = seconds([&] {
-      Rng rng = Rng::for_substream(sc.seed, 0);
-      (void)simulate_local_pool(config, missions, rng);
-    });
-    const double campaign = seconds([&] { (void)run_local_pool_campaign(config, one_shard); });
+    auto start = std::chrono::steady_clock::now();
+    Rng rng = Rng::for_substream(sc.seed, 0);
+    (void)simulate_local_pool(config, missions, rng);
+    const double loop = seconds_since(start) * per_mission_us;
+    start = std::chrono::steady_clock::now();
+    (void)run_local_pool_campaign(config, one_shard);
+    const double campaign = seconds_since(start) * per_mission_us;
     if (r == 0) continue;
-    loop_s = std::min(loop_s, loop);
-    campaign_s = std::min(campaign_s, campaign);
+    loop_us.push_back(loop);
+    campaign_us.push_back(campaign);
   }
   Stage1Row row;
   row.name = sc.name;
   row.missions = missions;
-  row.loop_us = loop_s * 1e6 / static_cast<double>(missions);
-  row.campaign_us = campaign_s * 1e6 / static_cast<double>(missions);
-  row.ratio = row.campaign_us / row.loop_us;
+  row.reps = reps;
+  row.loop_us = spread_of(loop_us);
+  row.campaign_us = spread_of(campaign_us);
+  row.ratio = row.campaign_us.min / row.loop_us.min;
   return row;
 }
 
@@ -124,23 +145,56 @@ Scenario load(const std::string& path) {
   return load_scenario(IniFile::parse(in));
 }
 
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos) return line.substr(line.find_first_not_of(' ', colon + 1));
+  }
+  return "unknown";
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+std::string spread_json(const Spread& s) {
+  std::ostringstream os;
+  os.precision(6);
+  os << "{\"min\": " << s.min << ", \"median\": " << s.median << "}";
+  return os.str();
+}
+
 void write_json(const std::string& path, const std::vector<ScenarioRow>& rows,
                 const Stage1Row& stage1, bool quick) {
   std::ofstream out(path);
   out.precision(6);
   out << "{\n  \"bench\": \"sim_core\",\n  \"quick\": " << (quick ? "true" : "false")
-      << ",\n  \"scenarios\": [\n";
+      << ",\n  \"host\": {\"cpu_model\": \"" << cpu_model()
+      << "\", \"nproc\": " << std::thread::hardware_concurrency() << ", \"compiler\": \""
+      << compiler() << "\", \"build_type\": \"" << MLEC_BUILD_TYPE << "\", \"ec_backend\": \""
+      << ec::to_string(ec::active_backend()) << "\"},\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\", \"missions\": " << r.missions
-        << ", \"elapsed_s\": " << r.elapsed_s << ", \"trials_per_sec\": " << r.trials_per_sec
+        << ", \"reps\": " << r.reps << ", \"elapsed_s\": " << spread_json(r.elapsed_s)
+        << ", \"trials_per_sec\": " << r.trials_per_sec
         << ", \"events_per_sec\": " << r.events_per_sec << ", \"pdl\": " << r.result.pdl()
         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"stage1\": {\"name\": \"" << stage1.name << "\", \"missions\": " << stage1.missions
-      << ", \"loop_us_per_mission\": " << stage1.loop_us
-      << ", \"campaign_us_per_mission\": " << stage1.campaign_us << ", \"ratio\": " << stage1.ratio
-      << "}\n}\n";
+  out << "  ],\n  \"stage1\": {\"name\": \"" << stage1.name
+      << "\", \"missions\": " << stage1.missions << ", \"reps\": " << stage1.reps
+      << ", \"loop_us_per_mission\": " << spread_json(stage1.loop_us)
+      << ", \"campaign_us_per_mission\": " << spread_json(stage1.campaign_us)
+      << ", \"ratio\": " << stage1.ratio << "}\n}\n";
 }
 
 }  // namespace
@@ -174,22 +228,27 @@ int main(int argc, char** argv) {
   std::vector<ScenarioRow> rows;
   bool floor_ok = true;
   for (const char* file : {"crosscheck_mlec.ini", "crosscheck_slec.ini"}) {
-    // Enough missions for a stable single-threaded measurement.
-    rows.push_back(measure(load(scenario_dir + "/" + file), quick ? 300 : 2000, quick ? 2 : 4));
+    // Full size: 10-30 ms per repetition, far above the timer resolution.
+    rows.push_back(measure(load(scenario_dir + "/" + file), quick ? 300 : 20000, quick ? 2 : 7));
     if (min_tps > 0.0 && rows.back().trials_per_sec < min_tps) floor_ok = false;
   }
 
-  Table t({"scenario", "missions", "trials/s", "events/s", "pdl"});
+  Table t({"scenario", "missions", "reps", "trials/s", "median trials/s", "events/s", "pdl"});
   for (const auto& r : rows)
-    t.add_row({r.name, std::to_string(r.missions), Table::num(r.trials_per_sec, 1),
+    t.add_row({r.name, std::to_string(r.missions), std::to_string(r.reps),
+               Table::num(r.trials_per_sec, 1),
+               Table::num(static_cast<double>(r.missions) / r.elapsed_s.median, 1),
                Table::num(r.events_per_sec, 0), Table::num(r.result.pdl(), 4)});
-  std::cout << t.to_ascii("trials/sec, higher is better") << '\n';
+  std::cout << t.to_ascii("trials/sec at the fastest repetition, higher is better") << '\n';
 
   const Stage1Row stage1 = measure_stage1(load(scenario_dir + "/crosscheck_mlec.ini"),
-                                          quick ? 100'000 : 500'000, quick ? 3 : 5);
-  Table s({"scenario", "missions", "loop_us/mission", "campaign_us/mission", "ratio"});
-  s.add_row({stage1.name, std::to_string(stage1.missions), Table::num(stage1.loop_us, 4),
-             Table::num(stage1.campaign_us, 4), Table::num(stage1.ratio, 3)});
+                                          quick ? 100'000 : 500'000, quick ? 3 : 7);
+  Table s({"scenario", "missions", "reps", "loop_us/mission", "median", "campaign_us/mission",
+           "median", "ratio"});
+  s.add_row({stage1.name, std::to_string(stage1.missions), std::to_string(stage1.reps),
+             Table::num(stage1.loop_us.min, 4), Table::num(stage1.loop_us.median, 4),
+             Table::num(stage1.campaign_us.min, 4), Table::num(stage1.campaign_us.median, 4),
+             Table::num(stage1.ratio, 3)});
   std::cout << s.to_ascii("stage 1: 1-shard in-memory campaign vs simulate_local_pool loop")
             << '\n';
 

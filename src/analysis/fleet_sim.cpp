@@ -325,7 +325,7 @@ class MissionRunner {
   /// Next inter-failure gap from the batch buffer, refilling (and counting
   /// the refill's draws) when empty. The refill size tracks the expected
   /// number of failures left before `now` reaches mission end, so the
-  /// variates discarded at the next mission-start reset — each one a log()
+  /// variates discarded at the next mission-start reset — each one a draw
   /// the legacy core never paid for — stay near zero. The size is a pure
   /// function of simulation state, so trajectories remain deterministic.
   double next_gap(double now) {

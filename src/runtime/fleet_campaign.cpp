@@ -56,9 +56,10 @@ FleetSimResult fleet_result_from(const CampaignAccumulator& acc) {
 std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
   std::ostringstream os;
   os.precision(17);
-  // v2: the sim core's RNG consumption changed (batched inter-failure gaps),
-  // so journals written by the v1 core must not resume into this one.
-  os << "fleet-v2;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
+  // The version names the sim core's RNG schedule; a journal written under
+  // another one must not resume into this one. v2: batched inter-failure
+  // gaps. v3: exponential gaps from the ziggurat, not the inverse CDF.
+  os << "fleet-v3;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
      << config.dc.disks_per_enclosure << ";disk_tb=" << config.dc.disk_capacity_tb
      << ";chunk_kb=" << config.dc.chunk_kb << ";code=" << config.code.notation()
      << ";scheme=" << to_string(config.scheme) << ";method=" << to_string(config.method)

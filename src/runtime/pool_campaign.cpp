@@ -78,7 +78,9 @@ LocalPoolStats LocalPoolCampaignResult::stats() const {
 std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
   std::ostringstream os;
   os.precision(17);
-  os << "localpool-v1;code=" << config.code.k << '+' << config.code.p << ";placement="
+  // v2: exponential lifetimes from the ziggurat, not the inverse CDF, so
+  // v1 journals name another RNG schedule and must not resume.
+  os << "localpool-v2;code=" << config.code.k << '+' << config.code.p << ";placement="
      << (config.placement == Placement::kClustered ? 'C' : 'D') << ";disks=" << config.pool_disks
      << ";disk_tb=" << config.disk_capacity_tb << ";chunk_kb=" << config.chunk_kb
      << ";afr=" << config.afr << ";detect=" << config.detection_hours

@@ -77,10 +77,59 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(uniform_below(span));
 }
 
+namespace {
+
+ExponentialZiggurat build_exponential_ziggurat() {
+  using Z = ExponentialZiggurat;
+  Z z;
+  const double f_r = std::exp(-Z::kR);
+  // The base layer's area: the rectangle under e^{-r} plus the tail.
+  z.v = f_r * (1.0 + Z::kR);
+  z.x[0] = z.v / f_r;
+  z.x[1] = Z::kR;
+  z.f[0] = 0.0;
+  z.f[1] = f_r;
+  // Layer i spans [f[i], f[i+1]] over width x[i] with area v.
+  for (int i = 1; i < Z::kLayers - 1; ++i) {
+    z.f[i + 1] = z.v / z.x[i] + z.f[i];
+    z.x[i + 1] = -std::log(z.f[i + 1]);
+  }
+  // The recursion's next edge is 0 to within ~1e-14 for this r; pin it.
+  z.x[Z::kLayers] = 0.0;
+  z.f[Z::kLayers] = 1.0;
+  for (int i = 0; i < Z::kLayers; ++i) z.w[i] = z.x[i] * 0x1.0p-53;
+  return z;
+}
+
+const ExponentialZiggurat& ziggurat_tables() {
+  static const ExponentialZiggurat tables = build_exponential_ziggurat();
+  return tables;
+}
+
+}  // namespace
+
+const ExponentialZiggurat& exponential_ziggurat() { return ziggurat_tables(); }
+
+// Inline so the accept-at-once path compiles into exponential() and the
+// fill loop without a call per draw.
+inline double Rng::standard_exponential() {
+  const ExponentialZiggurat& z = ziggurat_tables();
+  while (true) {
+    const std::uint64_t bits = (*this)();
+    const auto i = static_cast<std::size_t>(bits & 0xff);
+    // The top 53 bits scaled by x[i] * 2^-53: u * x[i] with u in [0, 1).
+    const double x = static_cast<double>(bits >> 11) * z.w[i];
+    if (x < z.x[i + 1]) [[likely]] return x;
+    // Base layer beyond r: the tail, r + Exp(1) by memorylessness.
+    if (i == 0) return ExponentialZiggurat::kR - std::log1p(-uniform());
+    // Wedge between the rectangle under layer i+1 and the curve.
+    if (z.f[i] + (z.f[i + 1] - z.f[i]) * uniform() < std::exp(-x)) return x;
+  }
+}
+
 double Rng::exponential(double rate) {
   MLEC_REQUIRE(rate > 0.0, "exponential rate must be positive");
-  // -log(1-U) with U in [0,1) avoids log(0).
-  return -std::log1p(-uniform()) / rate;
+  return standard_exponential() / rate;
 }
 
 void Rng::uniform_fill(std::span<double> out) {
@@ -93,10 +142,7 @@ void Rng::exponential_fill(std::span<double> out, double rate) {
   MLEC_REQUIRE(rate > 0.0, "exponential rate must be positive");
   // Same expression as exponential(): dividing (not multiplying by a
   // precomputed reciprocal) keeps the fill bit-identical to single draws.
-  for (double& v : out) {
-    const double u = static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-    v = -std::log1p(-u) / rate;
-  }
+  for (double& v : out) v = standard_exponential() / rate;
 }
 
 double Rng::weibull(double shape, double scale) {

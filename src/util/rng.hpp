@@ -62,7 +62,9 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Exponentially distributed value with the given rate (events per unit
-  /// time). Requires rate > 0.
+  /// time): an Exp(1) variate from the ziggurat below, divided by `rate`,
+  /// so exponential(rate) == exponential(1) / rate on the same stream.
+  /// Requires rate > 0.
   double exponential(double rate);
 
   /// Fill `out` with uniform [0, 1) doubles. Bit-identical to calling
@@ -70,7 +72,7 @@ class Rng {
   /// so hot loops amortize call overhead, not to change the variates.
   void uniform_fill(std::span<double> out);
 
-  /// Fill `out` with Exp(rate) variates via the inverse CDF. Bit-identical
+  /// Fill `out` with Exp(rate) variates from the same ziggurat. Bit-identical
   /// to calling exponential(rate) out.size() times on the same stream.
   /// Requires rate > 0.
   void exponential_fill(std::span<double> out, double rate);
@@ -100,8 +102,34 @@ class Rng {
   }
 
  private:
+  /// Exp(1) variate by the exponential ziggurat (see ExponentialZiggurat).
+  double standard_exponential();
+
   std::array<std::uint64_t, 4> state_;
 };
+
+/// Tables of the 256-layer exponential ziggurat of Marsaglia & Tsang (J.
+/// Stat. Softw. 5(8), 2000) behind Rng::exponential. The region under
+/// e^{-x} is cut into 256 layers of equal area v: layer i >= 1 is the
+/// rectangle [0, x[i]] x [f[i], f[i+1]], and the base layer 0 is the
+/// rectangle [0, r] x [0, e^{-r}] plus the tail beyond r, drawn as a
+/// rectangle of virtual width x[0] = v / e^{-r}. One 64-bit word picks the
+/// layer (low 8 bits) and the abscissa u * x[i] (top 53 bits); it is
+/// accepted outright when it falls under the next layer's edge x[i+1].
+struct ExponentialZiggurat {
+  static constexpr int kLayers = 256;
+  /// Right edge of the base rectangle; it closes the recursion on x[256] = 0.
+  static constexpr double kR = 7.69711747013104972;
+
+  double v = 0.0;                       ///< common layer area, e^{-r} (1 + r)
+  std::array<double, kLayers + 1> x{};  ///< layer widths, x[1] = r .. x[256] = 0
+  std::array<double, kLayers + 1> f{};  ///< e^{-x[i]}; f[0] = 0 (base floor), f[256] = 1
+  std::array<double, kLayers> w{};      ///< x[i] * 2^-53: scales the 53-bit abscissa
+};
+
+/// The ziggurat tables, built on first use (a function-local static, so no
+/// static-initialization-order hazard) and immutable afterwards.
+const ExponentialZiggurat& exponential_ziggurat();
 
 /// SplitMix64 step, exposed for seeding utilities and tests.
 std::uint64_t splitmix64(std::uint64_t& state);

@@ -631,6 +631,63 @@ TEST(LocalPoolCampaign, OneShardMatchesSimulateLocalPoolOnSubstreamZero) {
   EXPECT_EQ(repairs.max(), direct.single_disk_repair_hours.max());
 }
 
+/// Run half of a checkpointed campaign, restamp its journal as if an older
+/// RNG schedule had written it (the identity's version prefix `current`
+/// replaced by `old`), and expect the resume to refuse it.
+template <typename Config, typename Run>
+void expect_old_schedule_refused(const std::string& name, const Config& cfg,
+                                 const std::string& identity, const std::string& current,
+                                 const std::string& old, Run run) {
+  SCOPED_TRACE(name);
+  ASSERT_EQ(identity.rfind(current + ";", 0), 0u) << identity;
+  const auto path = temp_path(name + "_old_schedule.bin");
+  std::remove(path.c_str());
+  CampaignConfig campaign;
+  campaign.total_units = 64;
+  campaign.seed = 5;
+  campaign.shards = 2;
+  campaign.checkpoint_every = 4;
+  campaign.checkpoint_path = path;
+  campaign.unit_budget = 32;
+  (void)run(cfg, campaign);
+
+  CampaignJournal journal = CampaignJournal::load_file(path);
+  ASSERT_EQ(journal.fingerprint, fingerprint_of(identity));
+  journal.fingerprint = fingerprint_of(old + identity.substr(current.size()));
+  journal.save_file(path);
+
+  campaign.resume = true;
+  campaign.unit_budget = 0;
+  try {
+    (void)run(cfg, campaign);
+    ADD_FAILURE() << "resumed a " << old << " journal";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("different workload configuration"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Campaign, ResumeRefusesJournalsOfTheInverseCdfSampler) {
+  // Journals written before exponential gaps came from the ziggurat hold
+  // RNG states of another draw schedule; resuming one would silently mix
+  // two streams.
+  const auto fleet = small_fleet();
+  expect_old_schedule_refused(
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v3", "fleet-v2",
+      [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
+
+  LocalPoolSimConfig pool;
+  pool.code = {3, 1};
+  pool.pool_disks = 4;
+  pool.afr = 0.5;
+  expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
+                              "localpool-v2", "localpool-v1",
+                              [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
+                                return run_local_pool_campaign(c, k);
+                              });
+}
+
 TEST(FleetCampaign, FingerprintTracksPhysicsChanges) {
   const auto base = small_fleet();
   auto changed = base;

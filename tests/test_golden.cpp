@@ -60,30 +60,29 @@ Scenario bundled(const std::string& file) {
 TEST(Golden, CrosscheckSlec) {
   const Scenario sc = bundled("crosscheck_slec.ini");
   expect_pinned("split", sc, 4,
-                {0.35938929646229872, 0.32084678594378846, 0.39793180698080904, 6000,
-                 0.44533333333333336});
+                {0.38039101339723025, 0.34104224727881594, 0.41973977951564456, 6000,
+                 0.47866666666666668});
   expect_pinned("sim", sc, 4,
-                {0.41166666666666668, 0.37297174331216043, 0.45148549055121101, 600,
-                 0.41166666666666668});
+                {0.37, 0.3323095381855391, 0.40934450410395085, 600, 0.37});
 }
 
 TEST(Golden, CrosscheckMlec) {
   const Scenario sc = bundled("crosscheck_mlec.ini");
   expect_pinned("split", sc, 4,
-                {0.0023519564610074485, 0.0018474878664789672, 0.0028564250555359297, 6000,
-                 1.3360000000000001});
+                {0.0027158316636529006, 0.0021539644208089337, 0.0032776989064968675, 6000,
+                 1.4359999999999999});
   expect_pinned("sim", sc, 4,
-                {0.0026666666666666666, 0.0010374882379011814, 0.0068366522250867413, 1500,
-                 1.4239999999999999});
+                {0.0033333333333333335, 0.0014246155145931816, 0.0077794523740475734, 1500,
+                 1.4633333333333334});
 }
 
 TEST(Golden, CrosscheckLrc) {
   const Scenario sc = bundled("crosscheck_lrc.ini");
   expect_pinned("split", sc, 4,
-                {1.81647573085528e-05, 1.2320548620179739e-05, 2.400896599692586e-05, 6000,
-                 1.5586666666666669});
+                {2.2542330630016853e-05, 1.5546795526786996e-05, 2.953786573324671e-05, 6000,
+                 1.6753333333333333});
   expect_pinned("sim", sc, 4,
-                {0, 0, 0.0025544307603765975, 1500, 1.738});
+                {0, 0, 0.0025544307603765975, 1500, 1.7086666666666666});
 }
 
 TEST(Golden, PaperScaleSplit) {
@@ -97,8 +96,8 @@ TEST(Golden, PaperScaleSplit) {
       "[failures]\nafr = 0.3\n"
       "[sim]\nsplit_missions = 400000\nseed = 2023\n"));
   expect_pinned("split", sc, 8,
-                {7.9362619431242396e-11, 5.2686378598515991e-11, 1.060388602639688e-10, 400000,
-                 2.2031999999999998});
+                {7.3471695179489348e-11, 4.848816437038367e-11, 9.8455225988595026e-11, 400000,
+                 2.1528});
 }
 
 }  // namespace

@@ -253,5 +253,90 @@ TEST(Rng, SubstreamsAreDeterministicAndDistinct) {
   EXPECT_TRUE(differs);
 }
 
+// The exponential ziggurat behind exponential()/exponential_fill(): its
+// tables and the distribution of its output.
+
+TEST(RngZiggurat, EveryLayerHasAreaV) {
+  const ExponentialZiggurat& z = exponential_ziggurat();
+  const double r = ExponentialZiggurat::kR;
+  EXPECT_EQ(z.x[1], r);
+  EXPECT_EQ(z.x[ExponentialZiggurat::kLayers], 0.0);
+  // Base layer: the rectangle under e^{-r} plus the tail beyond r.
+  EXPECT_NEAR(r * std::exp(-r) + std::exp(-r), z.v, 1e-12 * z.v);
+  EXPECT_NEAR(z.x[0] * z.f[1], z.v, 1e-12 * z.v);
+  for (int i = 1; i < ExponentialZiggurat::kLayers; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_LT(z.x[i + 1], z.x[i]);
+    EXPECT_NEAR(z.f[i], std::exp(-z.x[i]), 1e-12 * z.f[i]);
+    EXPECT_NEAR(z.x[i] * (z.f[i + 1] - z.f[i]), z.v, 1e-12 * z.v);
+  }
+  for (int i = 0; i < ExponentialZiggurat::kLayers; ++i) EXPECT_EQ(z.w[i], z.x[i] * 0x1.0p-53);
+  // r closes the recursion: the edge above the top layer is 0.
+  const double top = -std::log(z.v / z.x[255] + z.f[255]);
+  EXPECT_NEAR(top, 0.0, 1e-12);
+}
+
+TEST(RngZiggurat, RateScalesTheUnitDraw) {
+  Rng unit(77), scaled(77);
+  for (double rate : {1.0, 0.25, 3.0, 1e-6, 8760.0}) {
+    for (int i = 0; i < 2000; ++i) EXPECT_EQ(scaled.exponential(rate), unit.exponential(1.0) / rate);
+  }
+  EXPECT_EQ(unit.state(), scaled.state());
+}
+
+TEST(RngZiggurat, KolmogorovSmirnovAgainstExp1) {
+  Rng rng(31337);
+  std::vector<double> xs(1'000'000);
+  for (double& x : xs) x = rng.exponential(1.0);
+  std::sort(xs.begin(), xs.end());
+  const double n = static_cast<double>(xs.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double cdf = -std::expm1(-xs[i]);
+    d = std::max({d, cdf - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - cdf});
+  }
+  // 0.1% critical value of the Kolmogorov distribution.
+  EXPECT_LT(d * std::sqrt(n), 1.95);
+}
+
+TEST(RngZiggurat, TailBeyondRHasItsExactMass) {
+  // Draws beyond r come only from the base layer's tail branch.
+  Rng rng(4242);
+  const std::uint64_t n = 10'000'000;
+  std::uint64_t beyond = 0;
+  double max_seen = 0.0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const double x = rng.exponential(1.0);
+    if (x > ExponentialZiggurat::kR) ++beyond;
+    max_seen = std::max(max_seen, x);
+  }
+  const double p = std::exp(-ExponentialZiggurat::kR);
+  const double mean = p * static_cast<double>(n);
+  const double sigma = std::sqrt(mean * (1.0 - p));
+  EXPECT_NEAR(static_cast<double>(beyond), mean, 4.0 * sigma);
+  EXPECT_GT(max_seen, ExponentialZiggurat::kR + 5.0);
+}
+
+TEST(RngZiggurat, ChiSquareOverEquiprobableBins) {
+  // 1000 bins of probability 1/1000 each: bin j covers
+  // [-log(1 - j/k), -log(1 - (j+1)/k)), so bin(x) = floor(k * (1 - e^{-x})).
+  constexpr int kBins = 1000;
+  const int n = 1'000'000;
+  Rng rng(8675309);
+  std::vector<double> counts(kBins, 0.0);
+  for (int i = 0; i < n; ++i) {
+    const double u = -std::expm1(-rng.exponential(1.0));
+    ++counts[std::min(kBins - 1, static_cast<int>(u * kBins))];
+  }
+  const double expected = static_cast<double>(n) / kBins;
+  double chi2 = 0.0;
+  for (double c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  // 0.1% critical value for kBins - 1 degrees of freedom (Wilson-Hilferty).
+  const double dof = kBins - 1;
+  const double h = 2.0 / (9.0 * dof);
+  const double critical = dof * std::pow(1.0 - h + 3.0902 * std::sqrt(h), 3);
+  EXPECT_LT(chi2, critical);
+}
+
 }  // namespace
 }  // namespace mlec
