@@ -10,6 +10,7 @@
 
 #include "analysis/durability.hpp"
 #include "placement/pools.hpp"
+#include "sim/local_pool_sim.hpp"
 #include "util/table.hpp"
 
 int main() {

@@ -39,7 +39,7 @@
 #include "analysis/fleet_sim.hpp"
 #include "core/spec_io.hpp"
 #include "ec/backend.hpp"
-#include "runtime/pool_campaign.hpp"
+#include "runtime/mission_campaign.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 

@@ -190,17 +190,6 @@ LocalPoolStats local_pool_stats(const DurabilityEnv& env, const SlecCode& local_
   return stats;
 }
 
-LocalPoolStats local_pool_stats_from_sim(const LocalPoolSimResult& sim) {
-  LocalPoolStats stats;
-  stats.cat_rate_per_pool_year = sim.catastrophe_rate_per_year();
-  if (!sim.samples.empty()) {
-    double acc = 0.0;
-    for (const auto& s : sim.samples) acc += s.lost_stripe_fraction;
-    stats.lost_stripe_fraction = acc / static_cast<double>(sim.samples.size());
-  }
-  return stats;
-}
-
 double stage2_exposure_hours(const DurabilityEnv& env, const MlecCode& code, MlecScheme scheme,
                              RepairMethod method, double lost_stripe_fraction) {
   const PoolLayout layout(env.dc, code, scheme);

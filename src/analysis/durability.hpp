@@ -4,8 +4,9 @@
 // Stage 1 produces, per local pool, the catastrophic-failure rate and the
 // expected lost-local-stripe fraction at catastrophe — either from the
 // closed forms here (clustered pools: birth-death Markov chain; declustered
-// pools: the priority-reconstruction critical-window model) or from
-// sim::simulate_local_pool samples (local_pool_stats_from_sim).
+// pools: the priority-reconstruction critical-window model) or from a
+// stage-1 pool simulation campaign (LocalPoolSummary::stats(),
+// runtime/mission_campaign.hpp).
 //
 // Stage 2 treats catastrophic pools as failing units at the network level
 // (the paper's "treat a local pool like a disk"), with a per-repair-method
@@ -22,7 +23,6 @@
 #include "gf/code_model.hpp"
 #include "placement/codes.hpp"
 #include "placement/schemes.hpp"
-#include "sim/local_pool_sim.hpp"
 #include "topology/bandwidth.hpp"
 #include "topology/topology.hpp"
 
@@ -54,9 +54,6 @@ struct LocalPoolStats {
 /// with the given placement.
 LocalPoolStats local_pool_stats(const DurabilityEnv& env, const SlecCode& local_code,
                                 Placement placement, std::size_t pool_disks);
-
-/// Stage 1 from splitting simulation samples.
-LocalPoolStats local_pool_stats_from_sim(const LocalPoolSimResult& sim);
 
 struct MlecDurabilityResult {
   LocalPoolStats stage1;

@@ -38,8 +38,8 @@ double FleetSimResult::catastrophes_per_system_year(double mission_hours) const 
   return years > 0 ? static_cast<double>(catastrophic_pool_events) / years : 0.0;
 }
 
-/// Shared, immutable per-run constants. One instance serves every shard of
-/// a simulate_fleet call or every shard engine of a campaign — the repair
+/// Shared, immutable per-run constants. One instance serves every shard
+/// engine of a campaign — the repair
 /// model's lookup tables (hypergeometric tails, per-f declustered
 /// bandwidths, critical-window lengths) are built exactly once.
 class FleetSimContext {
@@ -510,51 +510,12 @@ void FleetMissionEngine::run_mission(Rng& rng, FleetSimResult& into) {
 }
 
 FleetSimResult simulate_fleet(const FleetSimConfig& config, std::uint64_t missions,
-                              std::uint64_t seed, ThreadPool* pool, StopToken stop) {
-  const auto ctx = make_fleet_context(config);
-
-  const std::size_t shards =
-      pool != nullptr ? std::min<std::size_t>(pool->size() * 2, missions) : 1;
-  std::vector<FleetSimResult> partial(shards);
-
-  auto run_shard = [&](std::size_t shard, std::uint64_t count) {
-    Rng rng = Rng::for_substream(seed, shard);
-    MissionRunner runner(*ctx);
-    auto& result = partial[shard];
-    for (std::uint64_t m = 0; m < count; ++m) {
-      if (stop.stop_requested()) {
-        result.truncated = true;
-        break;
-      }
-      runner.run(rng, result);
-    }
-  };
-
-  if (pool != nullptr && shards > 1) {
-    pool->parallel_chunks(0, missions, shards,
-                          [&](std::size_t shard, std::size_t lo, std::size_t hi) {
-                            run_shard(shard, hi - lo);
-                          });
-  } else {
-    run_shard(0, missions);
-  }
-
-  FleetSimResult merged;
-  for (auto& part : partial) {
-    merged.missions += part.missions;
-    merged.data_loss_missions += part.data_loss_missions;
-    merged.data_loss_events += part.data_loss_events;
-    merged.disk_failures += part.disk_failures;
-    merged.catastrophic_pool_events += part.catastrophic_pool_events;
-    merged.loss_time_hours.merge(part.loss_time_hours);
-    merged.catastrophe_exposure_hours.merge(part.catastrophe_exposure_hours);
-    merged.cross_rack_tb += part.cross_rack_tb;
-    merged.events_processed += part.events_processed;
-    merged.rng_draws += part.rng_draws;
-    merged.arena_allocations += part.arena_allocations;
-    merged.truncated = merged.truncated || part.truncated;
-  }
-  return merged;
+                              std::uint64_t seed) {
+  FleetMissionEngine engine(config);
+  Rng rng = Rng::for_substream(seed, 0);
+  FleetSimResult result;
+  for (std::uint64_t m = 0; m < missions; ++m) engine.run_mission(rng, result);
+  return result;
 }
 
 }  // namespace mlec

@@ -29,9 +29,8 @@
 #include "sim/failure_gen.hpp"
 #include "topology/bandwidth.hpp"
 #include "topology/topology.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/stop_token.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlec {
 
@@ -77,10 +76,6 @@ struct FleetSimResult {
   std::uint64_t events_processed = 0;
   std::uint64_t rng_draws = 0;
   std::uint64_t arena_allocations = 0;
-  /// True when a stop token ended the sweep before all requested missions
-  /// ran; `missions` then counts only the completed ones, so the PDL
-  /// estimate and its interval remain valid (just wider).
-  bool truncated = false;
 
   double pdl() const {
     return missions ? static_cast<double>(data_loss_missions) / static_cast<double>(missions)
@@ -100,13 +95,12 @@ class FleetSimContext;
 /// Build (and validate) the shared context for `config`.
 std::shared_ptr<const FleetSimContext> make_fleet_context(const FleetSimConfig& config);
 
-/// Run `missions` independent missions. When `pool` is provided, missions
-/// are sharded across its workers (deterministic per-shard seeding via
-/// Rng::for_substream). A fired `stop` token ends each shard at its next
-/// mission boundary and flags the merged result `truncated`.
+/// Run `missions` independent missions, serially, on one FleetMissionEngine
+/// drawing from Rng::for_substream(seed, 0) — the stream of a 1-shard
+/// campaign. Sharded, resumable or cancellable sweeps go through
+/// run_fleet_campaign (runtime/mission_campaign.hpp).
 FleetSimResult simulate_fleet(const FleetSimConfig& config, std::uint64_t missions,
-                              std::uint64_t seed, ThreadPool* pool = nullptr,
-                              StopToken stop = {});
+                              std::uint64_t seed);
 
 /// One-mission-at-a-time view of the fleet simulator, exposed for the
 /// campaign runner: the engine owns the precomputed per-run constants and

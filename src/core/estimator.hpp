@@ -9,7 +9,7 @@
 //           campaign runner: checkpoint/resume, cancellation, shard retry,
 //           adaptive stopping on the PDL estimate.
 //   split   the paper's splitting methodology: Monte-Carlo stage 1 on one
-//           local pool (runtime/pool_campaign.hpp) feeding the closed-form
+//           local pool (runtime/mission_campaign.hpp) feeding the closed-form
 //           stage 2 (analysis/durability.hpp).
 //   dp      the fully closed-form splitting pipeline, plus the
 //           burst-allocation DP when the scenario carries a burst climate.

@@ -11,8 +11,7 @@
 #include "math/combin.hpp"
 #include "math/markov.hpp"
 #include "placement/pools.hpp"
-#include "runtime/fleet_campaign.hpp"
-#include "runtime/pool_campaign.hpp"
+#include "runtime/mission_campaign.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/units.hpp"
@@ -84,6 +83,17 @@ void apply_degrade_policy(Estimate& e, const CampaignReport& report, DegradePoli
   e.degrade_note = note.str();
 }
 
+/// Copy a campaign-backed estimate's run report and apply the quarantine
+/// policy to it.
+void finish_campaign_estimate(Estimate& e, CampaignReport report, DegradePolicy policy) {
+  e.truncated = report.truncated;
+  e.converged = report.converged;
+  e.resumed = report.resumed;
+  e.elapsed_s = report.elapsed_s;
+  e.campaign = std::move(report);
+  apply_degrade_policy(e, e.campaign, policy);
+}
+
 /// Shared applicability limits of the exponential-only analytic pipelines.
 std::string analytic_failure_limits(const Scenario& scenario) {
   if (scenario.failure_kind == FailureDistribution::Kind::kWeibull)
@@ -124,34 +134,29 @@ class SimEstimator final : public Estimator {
     require_applicable(*this, scenario);
     MLEC_FAULT_POINT("estimator.sim.pre");
 
-    const FleetCampaignResult run = run_fleet_campaign(
+    auto [fleet, report] = run_fleet_campaign(
         scenario.fleet_config(),
         method_campaign(options, name(), scenario.missions, scenario.seed), options.pool);
 
     Estimate e;
     e.method = std::string(name());
     e.provenance = "count-level fleet Monte Carlo (FleetMissionEngine) via the campaign runner";
-    e.pdl = run.result.pdl();
+    e.pdl = fleet.pdl();
     e.nines = durability_nines(e.pdl);
     // Zero observed losses give a Wilson lower bound of exactly 0, so the
     // nines interval's upper edge is +inf (consistent with any tiny PDL).
-    const auto ci = run.result.pdl_interval();
+    const auto ci = fleet.pdl_interval();
     e.pdl_lo = ci.lo;
     e.pdl_hi = ci.hi;
     e.stochastic = true;
-    e.samples = run.result.missions;
-    e.exposure_hours = run.result.catastrophe_exposure_hours.mean();
-    e.cat_rate_per_year = run.result.catastrophes_per_system_year(scenario.system.mission_hours);
-    e.cross_rack_tb = run.result.cross_rack_tb;
-    e.truncated = run.report.truncated;
-    e.converged = run.report.converged;
-    e.resumed = run.report.resumed;
-    e.events_processed = run.result.events_processed;
-    e.rng_draws = run.result.rng_draws;
-    e.arena_allocations = run.result.arena_allocations;
-    e.elapsed_s = run.report.elapsed_s;
-    e.campaign = run.report;
-    apply_degrade_policy(e, run.report, options.degrade);
+    e.samples = fleet.missions;
+    e.exposure_hours = fleet.catastrophe_exposure_hours.mean();
+    e.cat_rate_per_year = fleet.catastrophes_per_system_year(scenario.system.mission_hours);
+    e.cross_rack_tb = fleet.cross_rack_tb;
+    e.events_processed = fleet.events_processed;
+    e.rng_draws = fleet.rng_draws;
+    e.arena_allocations = fleet.arena_allocations;
+    finish_campaign_estimate(e, std::move(report), options.degrade);
     return e;
   }
 };
@@ -180,16 +185,16 @@ class SplitEstimator final : public Estimator {
     require_applicable(*this, scenario);
     MLEC_FAULT_POINT("estimator.split.pre");
 
-    const LocalPoolCampaignResult stage1_run = run_local_pool_campaign(
+    auto [stage1_sim, report] = run_local_pool_campaign(
         scenario.local_pool_config(),
         method_campaign(options, name(), scenario.split_missions, scenario.seed), options.pool);
 
     Estimate e;
     e.method = std::string(name());
-    e.samples = stage1_run.missions;
+    e.samples = stage1_sim.missions;
     std::optional<LocalPoolStats> stage1;
-    if (stage1_run.catastrophes > 0) {
-      stage1 = stage1_run.stats();
+    if (stage1_sim.catastrophes > 0) {
+      stage1 = stage1_sim.stats();
       e.stochastic = true;
       e.provenance = "campaign-run stage-1 pool simulation feeding the closed-form stage 2";
     } else {
@@ -215,21 +220,16 @@ class SplitEstimator final : public Estimator {
       // p_n for MDS), so the relative error amplifies by that exponent.
       const std::size_t tol =
           network ? network->min_tolerance() : scenario.system.code.network.p;
-      const double rel = 1.959964 / std::sqrt(static_cast<double>(stage1_run.catastrophes));
+      const double rel = 1.959964 / std::sqrt(static_cast<double>(stage1_sim.catastrophes));
       const double amp = static_cast<double>(tol + 1) * rel;
       e.pdl_lo = std::max(0.0, e.pdl * (1.0 - amp));
       e.pdl_hi = std::min(1.0, e.pdl * (1.0 + amp));
     } else {
       e.pdl_lo = e.pdl_hi = e.pdl;
     }
-    e.truncated = stage1_run.report.truncated;
-    e.converged = stage1_run.report.converged;
-    e.resumed = stage1_run.report.resumed;
-    e.events_processed = stage1_run.events_processed;
-    e.rng_draws = stage1_run.rng_draws;
-    e.elapsed_s = stage1_run.report.elapsed_s;
-    e.campaign = stage1_run.report;
-    apply_degrade_policy(e, stage1_run.report, options.degrade);
+    e.events_processed = stage1_sim.events_processed;
+    e.rng_draws = stage1_sim.rng_draws;
+    finish_campaign_estimate(e, std::move(report), options.degrade);
     return e;
   }
 };

@@ -4,8 +4,8 @@
 // counters, additive scalars (e.g. traffic TB), and RunningStats moments.
 // CampaignAccumulator holds all three under stable names so the campaign
 // runner can journal, restore, and merge partial results without knowing
-// the workload's concrete result struct; adapters (see fleet_campaign.hpp)
-// translate to and from their domain types.
+// the workload's concrete result struct; a summary's slot schema (see
+// mission_campaign.hpp) translates to and from its domain type.
 #pragma once
 
 #include <array>

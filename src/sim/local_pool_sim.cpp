@@ -28,10 +28,6 @@ double LocalPoolSimConfig::stripes_in_pool() const {
   return static_cast<double>(pool_disks) * chunks_per_disk / static_cast<double>(code.width());
 }
 
-double LocalPoolSimResult::catastrophe_probability_per_year() const {
-  return -std::expm1(-catastrophe_rate_per_year());
-}
-
 PoolRepairModel LocalPoolSimConfig::repair_model() const {
   PoolRepairModel model;
   model.code = code;
@@ -107,24 +103,6 @@ LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& cfg, std::uint6
   LocalPoolSimResult result;
   for (std::uint64_t m = 0; m < missions; ++m) engine.run_mission(rng, result);
   return result;
-}
-
-LocalPoolSimResult merge_results(std::vector<LocalPoolSimResult> shards,
-                                 std::size_t max_samples) {
-  LocalPoolSimResult merged;
-  for (auto& shard : shards) {
-    merged.missions += shard.missions;
-    merged.catastrophes += shard.catastrophes;
-    merged.pool_years += shard.pool_years;
-    merged.single_disk_repair_hours.merge(shard.single_disk_repair_hours);
-    merged.events_processed += shard.events_processed;
-    merged.rng_draws += shard.rng_draws;
-    for (auto& sample : shard.samples) {
-      if (merged.samples.size() >= max_samples) break;
-      merged.samples.push_back(sample);
-    }
-  }
-  return merged;
 }
 
 }  // namespace mlec

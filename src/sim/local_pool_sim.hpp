@@ -84,8 +84,6 @@ struct LocalPoolSimResult {
   double catastrophe_rate_per_year() const {
     return pool_years > 0.0 ? static_cast<double>(catastrophes) / pool_years : 0.0;
   }
-  /// Probability a single pool goes catastrophic within one year.
-  double catastrophe_probability_per_year() const;
 };
 
 /// One-mission-at-a-time view of the stage-1 simulator, the local-pool
@@ -115,13 +113,10 @@ class LocalPoolEngine {
   LocalPoolState pool_;
 };
 
-/// Run `missions` independent missions on one LocalPoolEngine (sequentially;
-/// callers parallelize by splitting rngs and merging results).
+/// Run `missions` independent missions on one LocalPoolEngine, serially.
+/// Sharded, resumable or cancellable runs go through run_local_pool_campaign
+/// (runtime/mission_campaign.hpp).
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& config, std::uint64_t missions,
                                        Rng& rng, std::size_t max_samples = 10000);
-
-/// Merge partial results from parallel shards.
-LocalPoolSimResult merge_results(std::vector<LocalPoolSimResult> shards,
-                                 std::size_t max_samples = 10000);
 
 }  // namespace mlec

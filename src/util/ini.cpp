@@ -1,8 +1,8 @@
 #include "util/ini.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cctype>
+#include <charconv>
 #include <istream>
 #include <sstream>
 
@@ -18,6 +18,49 @@ std::string trim(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 }  // namespace
+
+std::uint64_t parse_uint64(std::string_view text, std::string_view what) {
+  const auto fail = [&]() -> std::uint64_t {
+    throw PreconditionError(std::string(what) + ": expected a non-negative integer, got '" +
+                            std::string(text) + "'");
+  };
+  // digits [. digits] [e [+-] digits], read as the exact decimal value
+  // mantissa x 10^exponent: no detour through double.
+  std::size_t pos = 0;
+  const auto digits = [&] {
+    const std::size_t from = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return std::string(text.substr(from, pos - from));
+  };
+  std::string mantissa = digits();
+  long long exponent = 0;
+  if (pos < text.size() && text[pos] == '.') {
+    ++pos;
+    const std::string fraction = digits();
+    mantissa += fraction;
+    exponent = -static_cast<long long>(fraction.size());
+  }
+  if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+    if (++pos < text.size() && text[pos] == '+') ++pos;
+    int power = 0;
+    const auto [end, ec] = std::from_chars(text.data() + pos, text.data() + text.size(), power);
+    if (ec != std::errc{}) return fail();
+    pos = static_cast<std::size_t>(end - text.data());
+    exponent += power;
+  }
+  if (mantissa.empty() || pos != text.size()) return fail();
+  mantissa.erase(0, mantissa.find_first_not_of('0'));
+  if (mantissa.empty()) return 0;
+  // Trailing zeros absorb a negative exponent; any other digit is a fraction.
+  for (; exponent < 0; mantissa.pop_back(), ++exponent)
+    if (mantissa.back() != '0') return fail();
+  if (exponent > 20) return fail();  // at least 10^21, past UINT64_MAX
+  mantissa.append(static_cast<std::size_t>(exponent), '0');
+  std::uint64_t value = 0;
+  if (std::from_chars(mantissa.data(), mantissa.data() + mantissa.size(), value).ec != std::errc{})
+    return fail();
+  return value;
+}
 
 IniFile IniFile::parse(std::istream& in) {
   IniFile ini;
@@ -94,10 +137,9 @@ double IniFile::get_double(const std::string& section, const std::string& key,
 
 std::size_t IniFile::get_size(const std::string& section, const std::string& key,
                               std::size_t fallback) const {
-  const double v = get_double(section, key, static_cast<double>(fallback));
-  MLEC_REQUIRE(v >= 0.0 && v == std::floor(v),
-               "ini [" + section + "] " + key + ": expected a non-negative integer");
-  return static_cast<std::size_t>(v);
+  const auto v = get(section, key);
+  if (!v) return fallback;
+  return parse_uint64(*v, "ini [" + section + "] " + key);
 }
 
 bool IniFile::get_bool(const std::string& section, const std::string& key,

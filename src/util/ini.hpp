@@ -6,14 +6,23 @@
 // internal whitespace; surrounding whitespace is trimmed.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace mlec {
+
+/// Parse a non-negative integer exactly, up to UINT64_MAX: a plain decimal
+/// literal, or decimal or scientific notation whose value is a whole number
+/// ("2e3", "1.5e1"). Negative, fractional or out-of-range values and
+/// trailing characters throw PreconditionError naming `what` (a key or a
+/// flag).
+std::uint64_t parse_uint64(std::string_view text, std::string_view what);
 
 class IniFile {
  public:
@@ -30,6 +39,7 @@ class IniFile {
   std::string get_string(const std::string& section, const std::string& key,
                          const std::string& fallback) const;
   double get_double(const std::string& section, const std::string& key, double fallback) const;
+  /// Non-negative integers, read exactly by parse_uint64.
   std::size_t get_size(const std::string& section, const std::string& key,
                        std::size_t fallback) const;
   bool get_bool(const std::string& section, const std::string& key, bool fallback) const;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/mission_campaign.hpp"
 #include "sim/local_pool_sim.hpp"
 #include "util/units.hpp"
 
@@ -38,10 +39,20 @@ TEST(LocalPoolStats, FromSimulation) {
   cfg.pool_disks = 6;
   cfg.afr = 0.9;
   cfg.disk_capacity_tb = 60.0;
-  Rng rng(3);
+  // Stage 1 from a one-shard campaign, which runs simulate_local_pool's
+  // missions on Rng::for_substream(seed, 0).
+  CampaignConfig campaign;
+  campaign.total_units = 2000;
+  campaign.seed = 3;
+  campaign.shards = 1;
+  const auto stats = run_local_pool_campaign(cfg, campaign).summary.stats();
+  Rng rng = Rng::for_substream(3, 0);
   const auto sim = simulate_local_pool(cfg, 2000, rng);
-  const auto stats = local_pool_stats_from_sim(sim);
+  ASSERT_FALSE(sim.samples.empty());
+  double lost = 0.0;
+  for (const auto& s : sim.samples) lost += s.lost_stripe_fraction;
   EXPECT_NEAR(stats.cat_rate_per_pool_year, sim.catastrophe_rate_per_year(), 1e-12);
+  EXPECT_NEAR(stats.lost_stripe_fraction, lost / static_cast<double>(sim.samples.size()), 1e-12);
   EXPECT_GT(stats.lost_stripe_fraction, 0.0);
 }
 
@@ -60,10 +71,14 @@ TEST(MlecDurability, Figure10MethodLadder) {
 
 TEST(MlecDurability, Figure10SchemeRanking) {
   // After all optimizations (R_MIN): C/D and D/D best, D/C worst (F#4).
-  const double cc = mlec_durability(kEnv, kCode, MlecScheme::kCC, RepairMethod::kRepairMinimum).nines;
-  const double cd = mlec_durability(kEnv, kCode, MlecScheme::kCD, RepairMethod::kRepairMinimum).nines;
-  const double dc = mlec_durability(kEnv, kCode, MlecScheme::kDC, RepairMethod::kRepairMinimum).nines;
-  const double dd = mlec_durability(kEnv, kCode, MlecScheme::kDD, RepairMethod::kRepairMinimum).nines;
+  const double cc =
+      mlec_durability(kEnv, kCode, MlecScheme::kCC, RepairMethod::kRepairMinimum).nines;
+  const double cd =
+      mlec_durability(kEnv, kCode, MlecScheme::kCD, RepairMethod::kRepairMinimum).nines;
+  const double dc =
+      mlec_durability(kEnv, kCode, MlecScheme::kDC, RepairMethod::kRepairMinimum).nines;
+  const double dd =
+      mlec_durability(kEnv, kCode, MlecScheme::kDD, RepairMethod::kRepairMinimum).nines;
   EXPECT_GT(cd, cc);
   EXPECT_GT(dd, cc);
   EXPECT_LT(dc, cc);

@@ -6,6 +6,7 @@
 
 #include "analysis/burst_pdl.hpp"
 #include "analysis/durability.hpp"
+#include "runtime/mission_campaign.hpp"
 #include "sim/system_sim.hpp"
 #include "util/units.hpp"
 
@@ -171,7 +172,11 @@ TEST(FleetSim, InjectedBurstMatchesBurstEngine) {
 TEST(FleetSim, ParallelShardingMatchesSerialStatistically) {
   auto cfg = hot_fleet(MlecScheme::kCD);
   const auto serial = simulate_fleet(cfg, 300, 7);
-  const auto parallel = simulate_fleet(cfg, 300, 8, &global_pool());
+  // Sharded runs go through the campaign runner (2 shards per pool worker).
+  CampaignConfig campaign;
+  campaign.total_units = 300;
+  campaign.seed = 8;
+  const auto parallel = run_fleet_campaign(cfg, campaign, &global_pool()).summary;
   EXPECT_EQ(serial.missions, parallel.missions);
   // Different seeds/sharding: rates agree within Monte Carlo noise.
   const double a = static_cast<double>(serial.catastrophic_pool_events);

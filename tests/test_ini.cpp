@@ -97,6 +97,36 @@ TEST(Ini, MalformedValuesRejectedOnAccess) {
   EXPECT_THROW(ini.get_double("s", "num", 0.0), PreconditionError);
   EXPECT_THROW(ini.get_size("s", "int", 0), PreconditionError);
   EXPECT_THROW(ini.get_bool("s", "flag", false), PreconditionError);
+
+  // Integers are read exactly: no detour through double, no wrap-around.
+  const auto ints = IniFile::parse_string(
+      "[s]\nneg = -1\nfrac = 2.5e0\nbig = 18446744073709551616\nhuge = 1e20\n"
+      "tail = 12x\nhex = 0x10\nexp = 1e\nempty_exp = e3\ndot = .\n");
+  for (const char* key : {"neg", "frac", "big", "huge", "tail", "hex", "exp", "empty_exp", "dot"}) {
+    SCOPED_TRACE(key);
+    try {
+      (void)ints.get_size("s", key, 0);
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("ini [s] ") + key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Ini, IntegersAreExactUpToUint64Max) {
+  const auto ini = IniFile::parse_string(
+      "[sim]\nseed = 9007199254740993\nmax = 18446744073709551615\nsci = 2e3\n"
+      "dec = 1.5e1\nzeros = 000\nfixed = 120.0\n");
+  EXPECT_EQ(ini.get_size("sim", "seed", 0), 9007199254740993ULL);  // 2^53 + 1
+  EXPECT_EQ(ini.get_size("sim", "max", 0), 18446744073709551615ULL);
+  EXPECT_EQ(ini.get_size("sim", "sci", 0), 2000u);
+  EXPECT_EQ(ini.get_size("sim", "dec", 0), 15u);
+  EXPECT_EQ(ini.get_size("sim", "zeros", 7), 0u);
+  EXPECT_EQ(ini.get_size("sim", "fixed", 0), 120u);
+  EXPECT_EQ(ini.get_size("sim", "absent", 7), 7u);
+  EXPECT_EQ(parse_uint64("1e19", "--seed"), 10000000000000000000ULL);
+  EXPECT_THROW(parse_uint64("2e19", "--seed"), PreconditionError);
 }
 
 }  // namespace

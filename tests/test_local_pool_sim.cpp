@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "math/markov.hpp"
+#include "runtime/mission_campaign.hpp"
 #include "util/units.hpp"
 
 namespace mlec {
@@ -90,14 +91,18 @@ TEST(LocalPoolSim, RepairDurationsObserved) {
 }
 
 TEST(LocalPoolSim, MergeAccumulates) {
+  // Stage-1 results merge through the campaign summary's fold.
   Rng rng(9);
-  auto a = simulate_local_pool(clustered_cfg(0.9), 500, rng);
-  auto b = simulate_local_pool(clustered_cfg(0.9), 500, rng);
-  const auto a_cat = a.catastrophes;
-  const auto b_cat = b.catastrophes;
-  const auto merged = merge_results({std::move(a), std::move(b)});
+  const auto a = simulate_local_pool(clustered_cfg(0.9), 500, rng);
+  const auto b = simulate_local_pool(clustered_cfg(0.9), 500, rng);
+  CampaignAccumulator acc;
+  const SlotBinding<LocalPoolSummary> slots(acc);
+  MissionSchema<LocalPoolSummary>::fold(slots, a);
+  MissionSchema<LocalPoolSummary>::fold(slots, b);
+  const auto merged = summary_from<LocalPoolSummary>(acc);
   EXPECT_EQ(merged.missions, 1000u);
-  EXPECT_EQ(merged.catastrophes, a_cat + b_cat);
+  EXPECT_EQ(merged.catastrophes, a.catastrophes + b.catastrophes);
+  EXPECT_EQ(merged.lost_stripe_fraction.count(), a.samples.size() + b.samples.size());
   EXPECT_NEAR(merged.pool_years, 1000.0, 1e-9);
 }
 

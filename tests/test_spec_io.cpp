@@ -200,6 +200,15 @@ TEST(SpecIo, BadFamilyAndLrcValuesAreDiagnosed) {
                PreconditionError);
 }
 
+TEST(SpecIo, SeedAbove2To53RoundTripsExactly) {
+  // 2^53 + 1 is the first integer a double cannot hold.
+  const auto scenario =
+      load_scenario(IniFile::parse_string("[sim]\nseed = 9007199254740993\n"));
+  EXPECT_EQ(scenario.seed, 9007199254740993ULL);
+  const auto again = load_scenario(IniFile::parse_string(format_scenario(scenario)));
+  EXPECT_EQ(again.seed, 9007199254740993ULL);
+}
+
 TEST(SpecIo, FuzzNonUtf8ScenarioNameRoundTrips) {
   std::vector<std::string> unknown;
   SpecParsePolicy policy;

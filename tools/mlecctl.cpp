@@ -73,11 +73,12 @@
 #include "core/spec_io.hpp"
 #include "ec/backend.hpp"
 #include "placement/notation.hpp"
-#include "runtime/fleet_campaign.hpp"
+#include "runtime/mission_campaign.hpp"
 #include "server/chaos_cases.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "util/fault.hpp"
+#include "util/ini.hpp"
 #include "util/stop_token.hpp"
 #include "util/table.hpp"
 
@@ -184,8 +185,10 @@ Options parse_options(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value after flag");
     return argv[++i];
   };
+  std::string arg;
+  auto need_uint64 = [&](int& i) { return parse_uint64(need_value(i), arg); };
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
+    arg = argv[i];
     has_inline_value = false;
     if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-') {
       const auto eq = arg.find('=');
@@ -211,11 +214,11 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--detection-min") {
         opt.spec().detection_hours = std::stod(need_value(i)) / 60.0;
       } else if (arg == "--racks") {
-        opt.spec().dc.racks = std::stoul(need_value(i));
+        opt.spec().dc.racks = need_uint64(i);
       } else if (arg == "--enclosures-per-rack") {
-        opt.spec().dc.enclosures_per_rack = std::stoul(need_value(i));
+        opt.spec().dc.enclosures_per_rack = need_uint64(i);
       } else if (arg == "--disks-per-enclosure") {
-        opt.spec().dc.disks_per_enclosure = std::stoul(need_value(i));
+        opt.spec().dc.disks_per_enclosure = need_uint64(i);
       } else if (arg == "--disk-tb") {
         opt.spec().dc.disk_capacity_tb = std::stod(need_value(i));
       } else if (arg == "--bursts") {
@@ -233,23 +236,23 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--tolerance-nines") {
         opt.tolerance_nines = std::stod(need_value(i));
       } else if (arg == "--missions") {
-        opt.scenario.missions = std::stoull(need_value(i));
+        opt.scenario.missions = need_uint64(i);
       } else if (arg == "--split-missions") {
-        opt.scenario.split_missions = std::stoull(need_value(i));
+        opt.scenario.split_missions = need_uint64(i);
       } else if (arg == "--checkpoint") {
         opt.checkpoint_path = need_value(i);
       } else if (arg == "--resume") {
         opt.resume = true;
       } else if (arg == "--shards") {
-        opt.shards = std::stoul(need_value(i));
+        opt.shards = need_uint64(i);
       } else if (arg == "--time-budget") {
         opt.time_budget_s = std::stod(need_value(i));
       } else if (arg == "--target-rse") {
         opt.target_rse = std::stod(need_value(i));
       } else if (arg == "--unit-budget") {
-        opt.unit_budget = std::stoull(need_value(i));
+        opt.unit_budget = need_uint64(i);
       } else if (arg == "--checkpoint-every") {
-        opt.checkpoint_every = std::stoull(need_value(i));
+        opt.checkpoint_every = need_uint64(i);
       } else if (arg == "--shard-timeout") {
         opt.shard_timeout_s = std::stod(need_value(i));
       } else if (arg == "--faults") {
@@ -263,19 +266,21 @@ Options parse_options(int argc, char** argv) {
       } else if (arg == "--only") {
         opt.chaos_only.push_back(need_value(i));
       } else if (arg == "--seed") {
-        opt.scenario.seed = std::stoull(need_value(i));
+        opt.scenario.seed = need_uint64(i);
       } else if (arg == "--perf") {
         opt.perf = true;
       } else if (arg == "--host") {
         opt.host = need_value(i);
       } else if (arg == "--port") {
-        opt.port = std::stoi(need_value(i));
+        const std::uint64_t port = need_uint64(i);
+        if (port > 65535) usage("--port: expected a port number in 0..65535");
+        opt.port = static_cast<int>(port);
       } else if (arg == "--state-dir") {
         opt.state_dir = need_value(i);
       } else if (arg == "--workers") {
-        opt.workers = std::stoul(need_value(i));
+        opt.workers = need_uint64(i);
       } else if (arg == "--runners") {
-        opt.runners = std::stoul(need_value(i));
+        opt.runners = need_uint64(i);
       } else if (arg == "--client") {
         opt.client_name = need_value(i);
       } else if (arg == "--priority") {
@@ -380,8 +385,8 @@ int cmd_durability(const Options& opt) {
 
 int cmd_burst(const Options& opt) {
   if (opt.positional.size() != 2) usage("burst needs: mlecctl burst <racks> <failures>");
-  const auto racks = static_cast<std::size_t>(std::stoul(opt.positional[0]));
-  const auto failures = static_cast<std::size_t>(std::stoul(opt.positional[1]));
+  const std::size_t racks = parse_uint64(opt.positional[0], "burst <racks>");
+  const std::size_t failures = parse_uint64(opt.positional[1], "burst <failures>");
   BurstPdlConfig cfg = opt.scenario.burst_config();
   cfg.trials_per_cell = 4000;
   const BurstPdlEngine engine(cfg);
@@ -439,7 +444,7 @@ int cmd_tradeoff(const Options& opt) {
 
 int cmd_simulate(const Options& opt) {
   const std::uint64_t missions =
-      opt.positional.empty() ? 100 : std::stoull(opt.positional[0]);
+      opt.positional.empty() ? 100 : parse_uint64(opt.positional[0], "simulate <missions>");
   const FleetSimConfig cfg = opt.scenario.fleet_config();
   StopSource stop_source;
   stop_source.watch_signals();  // SIGINT/SIGTERM end the run at a batch boundary
@@ -458,7 +463,7 @@ int cmd_simulate(const Options& opt) {
   campaign.stop = stop_source.token();
 
   const auto fc = run_fleet_campaign(cfg, std::move(campaign), &global_pool());
-  const auto& r = fc.result;
+  const auto& r = fc.summary;
   const auto& rep = fc.report;
 
   std::uint64_t retried = 0;
