@@ -3,15 +3,13 @@
 // enough for raw Monte Carlo:
 //   1. the split estimator (stage-1 pool simulation) vs the markov and dp
 //      estimators on one shared Scenario of clustered (4+2) pools;
-//   2. the two-level (pool-as-a-disk) Markov model vs the chunk-exact
-//      full-system simulator under R_ALL.
+//   2. the sim (full-fleet simulation) and markov (two-level pool-as-a-disk
+//      chains) estimators on one shared Scenario of a (2+1)/(2+1) toy
+//      system under R_ALL.
 #include <iostream>
 
 #include "core/estimator.hpp"
-#include "math/markov.hpp"
-#include "sim/system_sim.hpp"
 #include "util/table.hpp"
-#include "util/units.hpp"
 
 int main() {
   using namespace mlec;
@@ -50,37 +48,27 @@ int main() {
   }
 
   {
-    SystemSimConfig cfg;
-    cfg.dc.racks = 3;
-    cfg.dc.enclosures_per_rack = 1;
-    cfg.dc.disks_per_enclosure = 3;
-    cfg.dc.disk_capacity_tb = 50.0;
-    cfg.code = {{2, 1}, {2, 1}};
-    cfg.scheme = MlecScheme::kCC;
-    cfg.stripes_per_network_pool = 2;
-    cfg.failures.afr = 0.9;
-    cfg.method = RepairMethod::kRepairAll;
-    const auto sim = simulate_system(cfg, 2000 * scale, 7);
+    // One network pool of three clustered (2+1) pools; 50 TB disks keep
+    // rebuilds slow enough for end-to-end losses to be observable.
+    Scenario sc;
+    sc.system.dc.racks = 3;
+    sc.system.dc.enclosures_per_rack = 1;
+    sc.system.dc.disks_per_enclosure = 3;
+    sc.system.dc.disk_capacity_tb = 50.0;
+    sc.system.code = {{2, 1}, {2, 1}};
+    sc.system.scheme = MlecScheme::kCC;
+    sc.system.repair = RepairMethod::kRepairAll;
+    sc.system.afr = 0.9;
+    sc.missions = 2000 * scale;
+    sc.seed = 7;
+    const Estimate s = find_estimator("sim")->estimate(sc);
+    const Estimate m = find_estimator("markov")->estimate(sc);
 
-    MlecMarkovParams params;
-    params.kn = 2;
-    params.pn = 1;
-    params.kl = 2;
-    params.pl = 1;
-    params.local_pool_disks = 3;
-    params.disk_fail_rate = cfg.failures.afr / units::kHoursPerYear;
-    params.disk_repair_rate = 1.0 / cfg.single_disk_repair_hours();
-    params.pool_repair_rate = 1.0 / cfg.catastrophic_repair_hours(RepairMethod::kRepairAll);
-    params.network_pools = 1;
-    const auto markov = mlec_markov_mttdl(params);
-
-    Table t({"quantity", "simulation", "markov"});
-    t.add_row({"PDL over one year", Table::num(sim.pdl(), 4),
-               Table::num(pdl_over_mission(markov.system_mttdl_hours, cfg.mission_hours), 4)});
-    t.add_row({"catastrophic pool events", std::to_string(sim.catastrophic_pool_events),
-               Table::num(static_cast<double>(cfg.mission_hours) /
-                              markov.local_pool_mttf_hours * 3 * 2000 * scale,
-                          0)});
+    Table t({"quantity", "sim", "markov"});
+    t.add_row({"PDL over one year", Table::num(s.pdl, 4), Table::num(m.pdl, 4)});
+    t.add_row({"catastrophic pool events per system-year", Table::num(s.cat_rate_per_year, 3),
+               Table::num(m.cat_rate_per_year, 3)});
+    t.add_row({"missions", std::to_string(s.samples), "-"});
     std::cout << t.to_ascii("(2) (2+1)/(2+1) C/C toy system, R_ALL, AFR 90%") << '\n';
   }
 

@@ -1,24 +1,26 @@
-// Trace replay: run the chunk-exact system simulator from a failure trace.
+// Trace replay: run the fleet simulator from a failure trace.
 //
 //   $ ./trace_replay               # synthetic exponential trace
 //   $ ./trace_replay my_trace.csv  # replay "time_hours,disk_id" lines
 //
 // The bundled synthetic mode generates a hot (AFR 60%) year on a shrunken
 // 540-disk C/C system so something actually happens, prints the trace head,
-// and reports the per-mission outcome; a trace file is replayed verbatim
-// against the same deployment.
+// and Monte-Carlos 400 one-year missions through the fleet simulator. A
+// trace file is replayed against the same deployment twice: once as if
+// nothing were repaired (end-state damage on a materialized placement), and
+// once as one fleet-simulator mission that injects the trace verbatim over a
+// negligible background AFR, with repairs running.
 #include <fstream>
 #include <iostream>
 
-#include "sim/failure_gen.hpp"
-#include "sim/system_sim.hpp"
+#include "analysis/fleet_sim.hpp"
 #include "placement/stripe_map.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace mlec;
 
-  SystemSimConfig cfg;
+  FleetSimConfig cfg;
   cfg.dc.racks = 6;
   cfg.dc.enclosures_per_rack = 3;
   cfg.dc.disks_per_enclosure = 30;
@@ -48,6 +50,13 @@ int main(int argc, char** argv) {
     std::cout << "if nothing were repaired: " << damage.lost_local_stripes
               << " lost local stripes, " << damage.lost_network_stripes
               << " lost network stripes\n";
+
+    // Replay with repairs: the trace is the mission's only failure source.
+    cfg.failures.afr = 1e-12;
+    cfg.injected_events = trace;
+    const auto replay = simulate_fleet(cfg, 1, 99);
+    std::cout << "with repairs: " << (replay.data_loss_missions > 0 ? "data lost" : "no data lost")
+              << ", " << replay.catastrophic_pool_events << " catastrophic pool events\n";
     return 0;
   }
 
@@ -60,7 +69,7 @@ int main(int argc, char** argv) {
   std::cout << "...\n\n";
 
   const std::uint64_t missions = 400;
-  const auto result = simulate_system(cfg, missions, 99);
+  const auto result = simulate_fleet(cfg, missions, 99);
   Table t({"missions", "data_loss_missions", "PDL", "catastrophic_pool_events"});
   t.add_row({std::to_string(result.missions), std::to_string(result.data_loss_missions),
              Table::num(result.pdl(), 4), std::to_string(result.catastrophic_pool_events)});

@@ -22,17 +22,9 @@ double tb_per_hour(double mbps) { return mbps * units::kSecondsPerHour * 1e6 / 1
 /// Hours to rebuild one failed disk inside its pool, detection included.
 double single_disk_hours(const DurabilityEnv& env, const SlecCode& code, Placement placement,
                          std::size_t pool_disks) {
-  const BandwidthModel bw(env.bw);
-  RepairFlow flow;
-  flow.read_amp = static_cast<double>(code.k);
-  flow.write_amp = 1.0;
-  if (placement == Placement::kClustered) {
-    flow.read_only_disks = code.width() - 1;
-    flow.write_only_disks = 1;
-  } else {
-    flow.shared_disks = pool_disks - 1;
-  }
-  return env.detection_hours + bw.repair_hours(env.dc.disk_capacity_tb, flow);
+  return env.detection_hours +
+         BandwidthModel(env.bw).repair_hours(env.dc.disk_capacity_tb,
+                                             single_disk_flow(code, placement, pool_disks));
 }
 
 /// The priority-reconstruction critical-window model for declustered pools

@@ -1,9 +1,9 @@
 // Count-level full-fleet Monte-Carlo simulator — the paper's "measure MLEC
-// performance and durability at scale (over 50,000 disks)" capability.
+// performance and durability at scale (over 50,000 disks)" capability, and
+// the repo's one full-system simulator.
 //
-// Unlike sim/system_sim.hpp (chunk-exact, small topologies only), FleetSim
-// keeps per-pool *counts*: each local pool tracks its concurrent failures,
-// rebuild progress, and — for declustered pools — the priority-
+// FleetSim keeps per-pool *counts*: each local pool tracks its concurrent
+// failures, rebuild progress, and — for declustered pools — the priority-
 // reconstruction critical window, via the same shared state machine
 // (sim/pool_state.hpp) that sim/local_pool_sim.hpp runs for one pool.
 // Catastrophic pools enter a network-repair exposure whose
@@ -14,9 +14,8 @@
 // chunk-aware repair methods (the paper's §4.2.3 F#1).
 //
 // Failure sources merged into one mission timeline: exponential lifetimes
-// drawn from `failures.afr` (the Weibull kind is served by dedicated
-// engines — see the sim estimator's applicability note), injected bursts,
-// and replayed traces.
+// drawn from `failures.afr`, injected bursts, and replayed traces. Only the
+// exponential kind is simulated; validate() rejects any other.
 #pragma once
 
 #include <cstdint>

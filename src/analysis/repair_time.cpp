@@ -6,6 +6,19 @@
 
 namespace mlec {
 
+RepairFlow single_disk_flow(const SlecCode& code, Placement placement, std::size_t pool_disks) {
+  RepairFlow flow;
+  flow.read_amp = static_cast<double>(code.k);
+  flow.write_amp = 1.0;
+  if (placement == Placement::kClustered) {
+    flow.read_only_disks = code.width() - 1;
+    flow.write_only_disks = 1;  // the spare disk
+  } else {
+    flow.shared_disks = pool_disks - 1;  // pool-wide read+write
+  }
+  return flow;
+}
+
 RepairTimeModel::RepairTimeModel(DataCenterConfig dc, BandwidthConfig bw, MlecCode code)
     : dc_(dc), bw_(bw), code_(code) {
   dc_.validate();
@@ -13,16 +26,7 @@ RepairTimeModel::RepairTimeModel(DataCenterConfig dc, BandwidthConfig bw, MlecCo
 }
 
 RepairFlow RepairTimeModel::single_disk_flow(MlecScheme scheme) const {
-  RepairFlow flow;
-  flow.read_amp = static_cast<double>(code_.local.k);
-  flow.write_amp = 1.0;
-  if (local_placement(scheme) == Placement::kClustered) {
-    flow.read_only_disks = code_.local_width() - 1;
-    flow.write_only_disks = 1;  // the spare disk
-  } else {
-    flow.shared_disks = dc_.disks_per_enclosure - 1;  // pool-wide read+write
-  }
-  return flow;
+  return mlec::single_disk_flow(code_.local, local_placement(scheme), dc_.disks_per_enclosure);
 }
 
 RepairFlow RepairTimeModel::network_pool_flow(MlecScheme scheme) const {

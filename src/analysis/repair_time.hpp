@@ -25,12 +25,18 @@ struct Table2Row {
   double pool_mbps = 0;          ///< available repair BW, whole-pool (R_ALL)
 };
 
+/// Flow of one failed disk's rebuild inside a local pool of `pool_disks`
+/// disks: read amplification k; clustered pools read from the width-1
+/// survivors and write to one spare, declustered pools share the read+write
+/// work over the other pool_disks-1 disks.
+RepairFlow single_disk_flow(const SlecCode& code, Placement placement, std::size_t pool_disks);
+
 class RepairTimeModel {
  public:
   RepairTimeModel(DataCenterConfig dc, BandwidthConfig bw, MlecCode code);
 
   /// Flow of a local single-disk rebuild (clustered: 19 readers -> 1 spare;
-  /// declustered: pool-wide shared read+write).
+  /// declustered: enclosure-wide shared read+write).
   RepairFlow single_disk_flow(MlecScheme scheme) const;
   /// Flow of a network-level pool rebuild (clustered: k_n source racks -> 1
   /// target rack; declustered: all racks shared).

@@ -357,6 +357,16 @@ int cmd_estimate(const Options& opt) {
                  row.estimate.arena_allocations);
     }
   }
+  if (report.methods_run() == 0) {
+    std::cerr << "mlecctl: no estimate: every requested method was skipped or failed (";
+    const char* sep = "";
+    for (const auto& row : report.rows) {
+      std::cerr << sep << row.method << (row.applicable ? " failed" : " skipped");
+      sep = ", ";
+    }
+    std::cerr << ")\n";
+    return 5;
+  }
   if (!report.agreed()) {
     std::cerr << "mlecctl: estimation methods diverge beyond " << opt.tolerance_nines
               << " nines\n";
