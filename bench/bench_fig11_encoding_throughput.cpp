@@ -1,7 +1,8 @@
 // Figure 11: single-core encoding throughput for (k+p) SLEC.
 //
 // The paper measured Intel ISA-L on a Xeon Gold 6240R; this harness runs
-// the repository's own GF(2^8) Reed-Solomon coder on the local CPU (see
+// the repository's own GF(2^8) Reed-Solomon coder on the local CPU, with
+// the kernels of the dispatched SIMD backend (see ec/backend.hpp and
 // DESIGN.md "Substitutions"). Absolute numbers differ; the k/p scaling
 // shape is the reproduction target.
 #include <cstring>
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   std::cout << "# paper: Figure 11 — single-core encoding throughput (MB/s of data),\n"
             << "# 128 KB chunks, rows = p (parities), columns = k (data chunks)\n"
             << "# ec backend: " << ec::to_string(ec::active_backend())
-            << " (force with MLEC_EC_BACKEND=scalar|ssse3|avx2)\n\n";
+            << " (force with MLEC_EC_BACKEND=scalar|avx2|avx512|gfni)\n\n";
   std::vector<std::string> header{"p\\k"};
   for (auto k : ks) header.push_back(std::to_string(k));
   Table t(header);

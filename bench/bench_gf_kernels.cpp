@@ -34,10 +34,8 @@ using mlec::gf::byte_t;
 
 std::vector<mlec::ec::Backend> supported_backends() {
   std::vector<mlec::ec::Backend> out;
-  for (int i = 0; i < mlec::ec::kBackendCount; ++i) {
-    const auto b = static_cast<mlec::ec::Backend>(i);
+  for (const auto b : mlec::ec::kAllBackends)
     if (mlec::ec::backend_supported(b)) out.push_back(b);
-  }
   return out;
 }
 

@@ -4,13 +4,14 @@
 //
 // Flags describe the environment; the advisor picks an architecture, scheme
 // and repair method, prints the paper-backed rationale, and quantifies the
-// recommendation with the analyzer.
+// recommendation with the deployment report (core/report.hpp).
 #include <cstring>
 #include <iostream>
 #include <string>
 
 #include "core/advisor.hpp"
-#include "core/analyzer.hpp"
+#include "core/estimator.hpp"
+#include "core/report.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -47,14 +48,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  SystemSpec spec;
-  spec.scheme = rec.scheme;
-  spec.repair = rec.repair;
-  const MlecAnalyzer analyzer(spec);
-  std::cout << "with the paper's default " << spec.code.notation() << " code:\n"
-            << analyzer.report();
+  Scenario scenario;
+  scenario.system.scheme = rec.scheme;
+  scenario.system.repair = rec.repair;
+  std::cout << "with the paper's default " << scenario.system.code.notation() << " code:\n"
+            << deployment_report(scenario);
 
-  const auto d = analyzer.durability();
+  const Estimate d = find_estimator("dp")->estimate(scenario);
   if (d.nines < profile.required_nines)
     std::cout << "\nNOTE: " << Table::num(d.nines, 1) << " nines misses the "
               << profile.required_nines

@@ -99,6 +99,13 @@ std::function<double(std::size_t)> system_dp_bw(const DurabilityEnv& env, double
 
 double chunk_tb(const DataCenterConfig& dc) { return dc.chunk_kb * 1e3 / 1e12; }
 
+/// The network level's code model: `network` when given, else the RS model
+/// of code.network. make_code_model's process-wide cache owns the default,
+/// so the reference stays valid.
+const CodeModel& network_model(const MlecCode& code, const CodeModel* network) {
+  return network != nullptr ? *network : *make_code_model(LevelCode::make_rs(code.network));
+}
+
 }  // namespace
 
 LocalPoolStats local_pool_stats(const DurabilityEnv& env, const SlecCode& local_code,
@@ -219,15 +226,18 @@ double stage2_exposure_hours(const DurabilityEnv& env, const MlecCode& code, Mle
 double stage2_coverage(const DurabilityEnv& env, const MlecCode& code, MlecScheme scheme,
                        RepairMethod method, double lost_stripe_fraction,
                        const CodeModel* network) {
-  // An MDS network level loses data exactly when p_n+1 stripes overlap, so
-  // R_ALL (which cannot tell which chunks are lost) must declare loss. A
-  // non-MDS level keeps two corrections even for R_ALL: the overlap
-  // threshold is its min tolerance t (t+1 pools may overlap without loss
-  // when t < p_n is set by the worst pattern, not every pattern) and only
-  // the undecodable fraction of (t+1)-erasure patterns actually loses.
-  const std::size_t tol = network ? network->min_tolerance() : code.network.p;
-  const double loss_frac = network ? 1.0 - network->decodable_fraction(tol + 1) : 1.0;
-  if (method == RepairMethod::kRepairAll && !network) return 1.0;
+  // The overlap threshold is the network level's min tolerance t, and only
+  // the undecodable fraction of (t+1)-erasure patterns actually loses. For
+  // an MDS level every (t+1)-pattern is fatal (t = p_n), so R_ALL, which
+  // cannot tell which chunks are lost, must declare loss. A non-MDS level
+  // keeps both corrections even for R_ALL: t+1 pools may overlap without
+  // loss when t < p_n is set by the worst pattern, not every pattern.
+  const CodeModel& model = network_model(code, network);
+  const std::size_t tol = model.min_tolerance();
+  const double decodable = model.decodable_fraction(tol + 1);
+  // lint:allow(float-eq): an exact pattern count; 0 means no (t+1)-pattern decodes (MDS)
+  if (method == RepairMethod::kRepairAll && decodable == 0.0) return 1.0;
+  const double loss_frac = 1.0 - decodable;
   const PoolLayout layout(env.dc, code, scheme);
   const double frac =
       method == RepairMethod::kRepairAll ? 1.0 : std::max(1e-12, lost_stripe_fraction);
@@ -252,11 +262,9 @@ MlecDurabilityResult mlec_durability(const DurabilityEnv& env, const MlecCode& c
                                      const std::optional<LocalPoolStats>& stage1,
                                      const CodeModel* network) {
   code.validate();
-  if (network != nullptr) {
-    MLEC_REQUIRE(network->level().data_chunks() == code.network.k &&
-                     network->level().width() == code.network_width(),
-                 "network code model must match code.network's data count and width");
-  }
+  const CodeModel& model = network_model(code, network);
+  MLEC_REQUIRE(model.data_chunks() == code.network.k && model.width() == code.network_width(),
+               "network code model must match code.network's data count and width");
   const PoolLayout layout(env.dc, code, scheme);
   MlecDurabilityResult r;
   r.stage1 = stage1.value_or(local_pool_stats(env, code.local, local_placement(scheme),
@@ -272,7 +280,7 @@ MlecDurabilityResult mlec_durability(const DurabilityEnv& env, const MlecCode& c
   // Stage 2: overlap of t+1 catastrophic pools, t = the network level's min
   // tolerance (= p_n for the MDS default; smaller for LRC, whose worst
   // (t+1)-pattern is already fatal).
-  const std::size_t tol = network ? network->min_tolerance() : code.network.p;
+  const std::size_t tol = model.min_tolerance();
   double mttdl_sys_hours = 0.0;
   if (network_placement(scheme) == Placement::kClustered) {
     const double mttdl_np = erasure_set_mttdl(code.network_width() - tol, tol, cat_rate_hour,
@@ -296,7 +304,7 @@ MlecDurabilityResult mlec_durability(const DurabilityEnv& env, const MlecCode& c
   // of the undecodable ones? R_ALL under MDS cannot tell and must declare
   // loss (paper §4.2.3 F#1); the chunk-aware methods thin the loss rate.
   r.coverage =
-      stage2_coverage(env, code, scheme, method, r.stage1.lost_stripe_fraction, network);
+      stage2_coverage(env, code, scheme, method, r.stage1.lost_stripe_fraction, &model);
 
   r.pdl = -std::expm1(-r.coverage * env.mission_hours / mttdl_sys_hours);
   r.nines = durability_nines(r.pdl);

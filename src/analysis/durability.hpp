@@ -67,11 +67,12 @@ struct MlecDurabilityResult {
 /// Full two-stage MLEC durability for one (code, scheme, repair method).
 /// Pass `stage1` to substitute simulation-derived pool statistics
 /// (the splitting workflow); otherwise the closed forms are used.
-/// A non-null `network` swaps the MDS network level for that code model:
-/// the overlap threshold becomes its min tolerance t (< p_n for LRC) and
-/// every stripe-coverage term is thinned by the fraction of (t+1)-erasure
-/// patterns that are undecodable — the same two quantities the fleet
-/// simulator consumes, so sim-vs-closed-form crosschecks stay provable.
+/// `network` is the network level's code model; nullptr means the RS model
+/// of code.network. The overlap threshold is its min tolerance t (p_n for
+/// RS, < p_n for LRC) and every stripe-coverage term is thinned by the
+/// fraction of (t+1)-erasure patterns that are undecodable — the same two
+/// quantities the fleet simulator consumes, so sim-vs-closed-form
+/// crosschecks stay provable.
 MlecDurabilityResult mlec_durability(const DurabilityEnv& env, const MlecCode& code,
                                      MlecScheme scheme, RepairMethod method,
                                      const std::optional<LocalPoolStats>& stage1 = std::nullopt,
@@ -85,11 +86,11 @@ MlecDurabilityResult mlec_durability(const DurabilityEnv& env, const MlecCode& c
 double stage2_exposure_hours(const DurabilityEnv& env, const MlecCode& code, MlecScheme scheme,
                              RepairMethod method, double lost_stripe_fraction);
 /// P(t+1 overlapping catastrophic pools actually share a lost network
-/// stripe), t = p_n for the MDS default: 1 for R_ALL, the stripe-coverage
-/// thinning for chunk-aware methods (paper §4.2.3 F#1). With a non-MDS
-/// `network` model the R_ALL shortcut no longer applies (a full overlap
-/// pattern may still decode) and every term carries the undecodable
-/// fraction.
+/// stripe), t = the network model's min tolerance (`network` as in
+/// mlec_durability): 1 for R_ALL over an MDS level, the stripe-coverage
+/// thinning for chunk-aware methods (paper §4.2.3 F#1). When some
+/// (t+1)-pattern still decodes (LRC) the R_ALL shortcut no longer applies
+/// and every term carries the undecodable fraction.
 double stage2_coverage(const DurabilityEnv& env, const MlecCode& code, MlecScheme scheme,
                        RepairMethod method, double lost_stripe_fraction,
                        const CodeModel* network = nullptr);

@@ -101,14 +101,6 @@ std::string analytic_failure_limits(const Scenario& scenario) {
   return {};
 }
 
-/// The network-level code model when the scenario departs from classic RS,
-/// nullptr otherwise (so the MDS closed forms keep their exact legacy
-/// arithmetic and outputs).
-std::shared_ptr<const CodeModel> non_mds_network_model(const Scenario& scenario) {
-  if (scenario.system.network_family == CodeFamily::kRs) return nullptr;
-  return make_code_model(scenario.system.network_level());
-}
-
 // ---------------------------------------------------------------------------
 // sim: full-fleet Monte Carlo through the campaign runner.
 
@@ -204,7 +196,7 @@ class SplitEstimator final : public Estimator {
     }
 
     const DurabilityEnv env = scenario.durability_env();
-    const auto network = non_mds_network_model(scenario);
+    const auto network = make_code_model(scenario.system.network_level());
     const MlecDurabilityResult dur =
         mlec_durability(env, scenario.system.code, scenario.system.scheme,
                         scenario.system.repair, stage1, network.get());
@@ -218,10 +210,8 @@ class SplitEstimator final : public Estimator {
       // loss rate scales like the catastrophe rate to the (t+1)-th power
       // (t+1 overlapping pools, t = the network level's min tolerance =
       // p_n for MDS), so the relative error amplifies by that exponent.
-      const std::size_t tol =
-          network ? network->min_tolerance() : scenario.system.code.network.p;
       const double rel = 1.959964 / std::sqrt(static_cast<double>(stage1_sim.catastrophes));
-      const double amp = static_cast<double>(tol + 1) * rel;
+      const double amp = static_cast<double>(network->min_tolerance() + 1) * rel;
       e.pdl_lo = std::max(0.0, e.pdl * (1.0 - amp));
       e.pdl_hi = std::min(1.0, e.pdl * (1.0 + amp));
     } else {
@@ -262,7 +252,7 @@ class DpEstimator final : public Estimator {
     MLEC_FAULT_POINT("estimator.dp.pre");
 
     const DurabilityEnv env = scenario.durability_env();
-    const auto network = non_mds_network_model(scenario);
+    const auto network = make_code_model(scenario.system.network_level());
     const MlecDurabilityResult indep =
         mlec_durability(env, scenario.system.code, scenario.system.scheme,
                         scenario.system.repair, std::nullopt, network.get());

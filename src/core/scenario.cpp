@@ -47,9 +47,8 @@ FailureDistribution Scenario::failure_distribution() const {
 }
 
 DurabilityEnv Scenario::durability_env() const {
-  DurabilityEnv env = system.durability_env();
-  env.ure_per_bit = ure_per_bit;
-  return env;
+  return {system.dc,           system.bandwidth,    system.afr,
+          system.detection_hours, system.mission_hours, ure_per_bit};
 }
 
 FleetSimConfig Scenario::fleet_config() const {

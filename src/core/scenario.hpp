@@ -1,13 +1,13 @@
 // One scenario, every engine.
 //
 // A Scenario is the single description of an evaluation run that all four
-// estimation strategies (core/estimator.hpp) consume: the deployment
-// (SystemSpec), the failure model (exponential or Weibull, optional burst
-// climate, optional latent-error rate), the repair policy (priority
-// reconstruction), and the method-specific estimation knobs (mission
-// counts, trial counts, seed). It is INI round-trippable through spec_io
-// (load_scenario / format_scenario), so the same file drives `mlecctl
-// estimate`, the benches, and the tests.
+// estimation strategies (core/estimator.hpp) and every `mlecctl` verb
+// consume: the deployment (SystemSpec), the failure model (exponential or
+// Weibull, optional burst climate, optional latent-error rate), the repair
+// policy (priority reconstruction), and the method-specific estimation
+// knobs (mission counts, trial counts, seed). It is INI round-trippable through spec_io
+// (load_scenario / format_scenario), so the same file drives `mlecctl`,
+// the benches, and the tests; a deployment-only file is a valid scenario.
 //
 // The conversion methods are the *only* place the legacy per-engine config
 // structs (FleetSimConfig, LocalPoolSimConfig, BurstPdlConfig,
@@ -21,11 +21,44 @@
 #include "analysis/burst_pdl.hpp"
 #include "analysis/durability.hpp"
 #include "analysis/fleet_sim.hpp"
-#include "core/analyzer.hpp"
+#include "gf/code_model.hpp"
+#include "placement/codes.hpp"
+#include "placement/schemes.hpp"
 #include "sim/failure_gen.hpp"
 #include "sim/local_pool_sim.hpp"
+#include "topology/bandwidth.hpp"
+#include "topology/topology.hpp"
 
 namespace mlec {
+
+/// One MLEC deployment. Defaults reproduce the paper's §3 setup:
+/// (10+2)/(17+3) over 57,600 disks, 1% AFR, 30-minute detection.
+struct SystemSpec {
+  DataCenterConfig dc = DataCenterConfig::paper_default();
+  BandwidthConfig bandwidth{};
+  MlecCode code = MlecCode::paper_default();
+  MlecScheme scheme = MlecScheme::kCC;
+  RepairMethod repair = RepairMethod::kRepairMinimum;
+  double afr = 0.01;
+  double detection_hours = 0.5;
+  double mission_hours = 8766.0;
+  /// Network-level code family. kRs keeps the paper's MDS analysis; kLrc
+  /// interprets `network_lrc` as the network level (its width must match
+  /// code.network_width() so pool layout arithmetic is unchanged); kRsWide
+  /// tags wide stripes (k >= 50). The local level stays Reed-Solomon.
+  CodeFamily network_family = CodeFamily::kRs;
+  LrcCode network_lrc{};
+
+  /// The network level as a pluggable LevelCode for make_code_model().
+  LevelCode network_level() const {
+    switch (network_family) {
+      case CodeFamily::kRs: return LevelCode::make_rs(code.network);
+      case CodeFamily::kRsWide: return LevelCode::make_wide(code.network);
+      case CodeFamily::kLrc: return LevelCode::make_lrc(network_lrc);
+    }
+    return LevelCode::make_rs(code.network);
+  }
+};
 
 struct Scenario {
   /// Optional label carried into reports ([scenario] name).

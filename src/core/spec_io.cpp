@@ -14,8 +14,9 @@ namespace mlec {
 
 namespace {
 
-/// Keys consumed by load_spec.
-constexpr std::pair<const char*, const char*> kSpecKeys[] = {
+/// Keys consumed by load_scenario.
+constexpr std::pair<const char*, const char*> kScenarioKeys[] = {
+    {"scenario", "name"},
     {"datacenter", "racks"},
     {"datacenter", "enclosures_per_rack"},
     {"datacenter", "disks_per_enclosure"},
@@ -32,11 +33,6 @@ constexpr std::pair<const char*, const char*> kSpecKeys[] = {
     {"failures", "afr"},
     {"failures", "detection_hours"},
     {"failures", "mission_hours"},
-};
-
-/// Additional keys consumed by load_scenario.
-constexpr std::pair<const char*, const char*> kScenarioKeys[] = {
-    {"scenario", "name"},
     {"failures", "kind"},
     {"failures", "weibull_shape"},
     {"failures", "weibull_scale_hours"},
@@ -51,14 +47,12 @@ constexpr std::pair<const char*, const char*> kScenarioKeys[] = {
     {"bursts", "failures"},
 };
 
-void check_unknown_keys(const IniFile& ini, bool scenario, const SpecParsePolicy& policy) {
+void check_unknown_keys(const IniFile& ini, const SpecParsePolicy& policy) {
   std::string joined;
   std::size_t count = 0;
   for (const auto& [section, key] : ini.keys()) {
     bool known = false;
-    for (const auto& [s, k] : kSpecKeys) known = known || (section == s && key == k);
-    if (scenario)
-      for (const auto& [s, k] : kScenarioKeys) known = known || (section == s && key == k);
+    for (const auto& [s, k] : kScenarioKeys) known = known || (section == s && key == k);
     if (known) continue;
     const std::string qualified = section.empty() ? key : section + "." + key;
     if (policy.unknown_keys != nullptr && !policy.strict)
@@ -68,8 +62,8 @@ void check_unknown_keys(const IniFile& ini, bool scenario, const SpecParsePolicy
     ++count;
   }
   if (count == 0) return;
-  const std::string what = (scenario ? std::string("scenario") : std::string("spec")) +
-                           " file has " + std::to_string(count) + " unknown key(s): " + joined;
+  const std::string what =
+      "scenario file has " + std::to_string(count) + " unknown key(s): " + joined;
   if (policy.strict) throw PreconditionError(what);
   if (policy.unknown_keys == nullptr) std::cerr << "warning: " << what << " (ignored)\n";
 }
@@ -131,11 +125,25 @@ double get_sized(const IniFile& ini, const std::string& section, const std::stri
   return value * unit_bytes / native_unit_bytes;
 }
 
-/// The [datacenter]/[bandwidth]/[code]/[failures] fields shared by specs
-/// and scenarios (no unknown-key pass — callers run it for their key set).
-SystemSpec load_spec_fields(const IniFile& ini) {
-  SystemSpec spec;
+FailureDistribution::Kind parse_failure_kind(const std::string& text) {
+  if (text == "exponential") return FailureDistribution::Kind::kExponential;
+  if (text == "weibull") return FailureDistribution::Kind::kWeibull;
+  throw PreconditionError("unknown failure kind '" + text +
+                          "' (expected exponential or weibull)");
+}
 
+const char* to_string(FailureDistribution::Kind kind) {
+  return kind == FailureDistribution::Kind::kWeibull ? "weibull" : "exponential";
+}
+
+}  // namespace
+
+Scenario load_scenario(const IniFile& ini, const SpecParsePolicy& policy) {
+  check_unknown_keys(ini, policy);
+  Scenario sc;
+  sc.name = ini.get_string("scenario", "name", sc.name);
+
+  SystemSpec& spec = sc.system;
   spec.dc.racks = ini.get_size("datacenter", "racks", spec.dc.racks);
   spec.dc.enclosures_per_rack =
       ini.get_size("datacenter", "enclosures_per_rack", spec.dc.enclosures_per_rack);
@@ -160,34 +168,6 @@ SystemSpec load_spec_fields(const IniFile& ini) {
   spec.afr = ini.get_double("failures", "afr", spec.afr);
   spec.detection_hours = ini.get_double("failures", "detection_hours", spec.detection_hours);
   spec.mission_hours = ini.get_double("failures", "mission_hours", spec.mission_hours);
-  return spec;
-}
-
-FailureDistribution::Kind parse_failure_kind(const std::string& text) {
-  if (text == "exponential") return FailureDistribution::Kind::kExponential;
-  if (text == "weibull") return FailureDistribution::Kind::kWeibull;
-  throw PreconditionError("unknown failure kind '" + text +
-                          "' (expected exponential or weibull)");
-}
-
-const char* to_string(FailureDistribution::Kind kind) {
-  return kind == FailureDistribution::Kind::kWeibull ? "weibull" : "exponential";
-}
-
-}  // namespace
-
-SystemSpec load_spec(const IniFile& ini, const SpecParsePolicy& policy) {
-  check_unknown_keys(ini, /*scenario=*/false, policy);
-  return load_spec_fields(ini);
-}
-
-Scenario load_scenario(const IniFile& ini, const SpecParsePolicy& policy) {
-  check_unknown_keys(ini, /*scenario=*/true, policy);
-  Scenario sc;
-  sc.system = load_spec_fields(ini);
-
-  sc.name = ini.get_string("scenario", "name", sc.name);
-
   if (const auto kind = ini.get("failures", "kind")) sc.failure_kind = parse_failure_kind(*kind);
   sc.weibull_shape = ini.get_double("failures", "weibull_shape", sc.weibull_shape);
   sc.weibull_scale_hours =
@@ -206,8 +186,10 @@ Scenario load_scenario(const IniFile& ini, const SpecParsePolicy& policy) {
   return sc;
 }
 
-std::string format_spec(const SystemSpec& spec) {
+std::string format_scenario(const Scenario& sc) {
   std::ostringstream os;
+  if (!sc.name.empty()) os << "[scenario]\nname = " << sc.name << "\n\n";
+  const SystemSpec& spec = sc.system;
   os << "[datacenter]\n"
      << "racks = " << spec.dc.racks << '\n'
      << "enclosures_per_rack = " << spec.dc.enclosures_per_rack << '\n'
@@ -228,17 +210,8 @@ std::string format_spec(const SystemSpec& spec) {
   os << "[failures]\n"
      << "afr = " << spec.afr << '\n'
      << "detection_hours = " << spec.detection_hours << '\n'
-     << "mission_hours = " << spec.mission_hours << '\n';
-  return os.str();
-}
-
-std::string format_scenario(const Scenario& sc) {
-  std::ostringstream os;
-  if (!sc.name.empty()) os << "[scenario]\nname = " << sc.name << "\n\n";
-  // format_spec ends inside [failures]; the extended failure keys continue
-  // that section.
-  os << format_spec(sc.system);
-  os << "kind = " << to_string(sc.failure_kind) << '\n'
+     << "mission_hours = " << spec.mission_hours << '\n'
+     << "kind = " << to_string(sc.failure_kind) << '\n'
      << "weibull_shape = " << sc.weibull_shape << '\n'
      << "weibull_scale_hours = " << sc.weibull_scale_hours << '\n'
      << "ure_per_bit = " << sc.ure_per_bit << "\n\n";
@@ -297,9 +270,13 @@ std::uint64_t scenario_fingerprint(const Scenario& scenario) {
   return fingerprint_of(scenario_identity(scenario));
 }
 
-std::string example_spec() {
-  return R"(# mlec++ deployment file — every key optional; defaults are the paper's §3
-# setup (57,600 disks, (10+2)/(17+3), 1% AFR, 30-minute detection).
+std::string example_scenario() {
+  return R"(# mlec++ scenario file — every key optional; defaults are the paper's §3
+# setup (57,600 disks, (10+2)/(17+3), 1% AFR, 30-minute detection). A file
+# with only the deployment sections ([datacenter] .. [failures]) is valid.
+
+[scenario]
+name = paper-default
 
 [datacenter]
 racks = 60
@@ -324,17 +301,10 @@ repair = R_MIN           # R_ALL, R_FCO, R_HYB, R_MIN
 afr = 0.01               # annual failure rate
 detection_hours = 0.5
 mission_hours = 8766     # one year
-)";
-}
-
-std::string example_scenario() {
-  return example_spec() + R"(kind = exponential       # or weibull (narrows applicable estimators)
+kind = exponential       # or weibull (narrows applicable estimators)
 weibull_shape = 1.2      # used only when kind = weibull
 weibull_scale_hours = 876600
 ure_per_bit = 0          # latent-error rate; 0 disables (analytic only)
-
-[scenario]
-name = paper-default
 
 [sim]
 priority_repair = true   # declustered priority reconstruction

@@ -1,10 +1,11 @@
-// SystemSpec / Scenario <-> INI deployment files.
+// Scenario <-> INI files.
 //
-// A deployment file captures everything MlecAnalyzer needs; a scenario file
-// is its superset, adding the failure model, repair policy, and estimation
-// knobs consumed by the estimator stack (core/estimator.hpp). Absent keys
-// keep the paper's §3 defaults. See example_spec() / example_scenario() for
-// the annotated templates.
+// One file format serves every `mlecctl` verb, the benches and the tests:
+// the deployment sections ([datacenter], [bandwidth], [code], [failures])
+// plus the failure-model, repair-policy and estimation keys ([scenario],
+// [sim], [bursts]). Absent keys keep the paper's §3 defaults, so a
+// deployment-only file is a valid scenario. See example_scenario() for the
+// annotated template.
 //
 // Unknown keys are diagnosed instead of silently ignored (a typo'd
 // `detectoin_hours` used to reproduce the wrong paper setup with no
@@ -16,13 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "core/scenario.hpp"
 #include "util/ini.hpp"
 
 namespace mlec {
 
-/// How load_spec / load_scenario treat keys they do not consume.
+/// How load_scenario treats keys it does not consume.
 struct SpecParsePolicy {
   /// Throw PreconditionError naming the offending keys instead of warning.
   bool strict = false;
@@ -32,21 +32,14 @@ struct SpecParsePolicy {
   std::vector<std::string>* unknown_keys = nullptr;
 };
 
-/// Build a spec from an INI file (sections [datacenter], [bandwidth],
-/// [code], [failures]). Malformed values throw; unknown keys follow
-/// `policy` (default: warn on stderr).
-SystemSpec load_spec(const IniFile& ini, const SpecParsePolicy& policy = {});
-
-/// Build a scenario: the spec sections plus [scenario], the extended
-/// [failures] keys (kind, weibull_*, ure_per_bit), [sim], and [bursts].
+/// Build a scenario from an INI file. Malformed values throw; unknown keys
+/// follow `policy` (default: warn on stderr).
 Scenario load_scenario(const IniFile& ini, const SpecParsePolicy& policy = {});
 
 /// Serialize back to INI text (parse(load) round-trips).
-std::string format_spec(const SystemSpec& spec);
 std::string format_scenario(const Scenario& scenario);
 
-/// Annotated templates documenting every key with the paper defaults.
-std::string example_spec();
+/// Annotated template documenting every key with the paper defaults.
 std::string example_scenario();
 
 /// Bit-exact structural identity of a scenario with the label (`name`)

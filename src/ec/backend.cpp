@@ -13,7 +13,6 @@ namespace mlec::ec {
 namespace {
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-bool host_has_ssse3() { return __builtin_cpu_supports("ssse3") != 0; }
 bool host_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
 bool host_has_avx512() {
   return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
@@ -23,7 +22,6 @@ bool host_has_gfni() {
          __builtin_cpu_supports("avx512vl") != 0;
 }
 #else
-bool host_has_ssse3() { return false; }
 bool host_has_avx2() { return false; }
 bool host_has_avx512() { return false; }
 bool host_has_gfni() { return false; }
@@ -54,7 +52,6 @@ std::string lowercase(std::string_view name) {
 const char* to_string(Backend backend) {
   switch (backend) {
     case Backend::kScalar: return "scalar";
-    case Backend::kSsse3: return "ssse3";
     case Backend::kAvx2: return "avx2";
     case Backend::kAvx512: return "avx512";
     case Backend::kGfni: return "gfni";
@@ -65,7 +62,6 @@ const char* to_string(Backend backend) {
 std::optional<Backend> parse_backend(std::string_view name) {
   const std::string lower = lowercase(name);
   if (lower == "scalar") return Backend::kScalar;
-  if (lower == "ssse3") return Backend::kSsse3;
   if (lower == "avx2") return Backend::kAvx2;
   if (lower == "avx512") return Backend::kAvx512;
   if (lower == "gfni") return Backend::kGfni;
@@ -75,7 +71,6 @@ std::optional<Backend> parse_backend(std::string_view name) {
 bool backend_built(Backend backend) {
   switch (backend) {
     case Backend::kScalar: return true;
-    case Backend::kSsse3: return detail::ssse3_kernel_table() != nullptr;
     case Backend::kAvx2: return detail::avx2_kernel_table() != nullptr;
     case Backend::kAvx512: return detail::avx512_kernel_table() != nullptr;
     case Backend::kGfni: return detail::gfni_kernel_table() != nullptr;
@@ -86,7 +81,6 @@ bool backend_built(Backend backend) {
 bool backend_host_supported(Backend backend) {
   switch (backend) {
     case Backend::kScalar: return true;
-    case Backend::kSsse3: return host_has_ssse3();
     case Backend::kAvx2: return host_has_avx2();
     case Backend::kAvx512: return host_has_avx512();
     case Backend::kGfni: return host_has_gfni();
@@ -103,7 +97,6 @@ Backend detect_backend() {
     if (backend_supported(Backend::kGfni)) return Backend::kGfni;
     if (backend_supported(Backend::kAvx512)) return Backend::kAvx512;
     if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
-    if (backend_supported(Backend::kSsse3)) return Backend::kSsse3;
     return Backend::kScalar;
   }();
   return best;
@@ -114,7 +107,7 @@ std::optional<Backend> resolve_backend_override(std::string_view value) {
   const auto parsed = parse_backend(value);
   MLEC_REQUIRE(parsed.has_value(),
                "unknown MLEC_EC_BACKEND '" + std::string(value) +
-                   "' (valid: scalar, ssse3, avx2, avx512, gfni, auto)");
+                   "' (valid: scalar, avx2, avx512, gfni, auto)");
   MLEC_REQUIRE(backend_supported(*parsed),
                std::string("MLEC_EC_BACKEND=") + to_string(*parsed) +
                    " is not supported on this host/build (" +
@@ -151,7 +144,6 @@ const Kernels& kernels_for(Backend backend) {
   MLEC_REQUIRE(backend_supported(backend), "EC backend not supported on this host/build");
   switch (backend) {
     case Backend::kScalar: return *detail::scalar_kernel_table();
-    case Backend::kSsse3: return *detail::ssse3_kernel_table();
     case Backend::kAvx2: return *detail::avx2_kernel_table();
     case Backend::kAvx512: return *detail::avx512_kernel_table();
     case Backend::kGfni: return *detail::gfni_kernel_table();

@@ -1,12 +1,12 @@
 // Runtime CPU-feature dispatch for the erasure-coding data plane.
 //
-// The EC kernels ship in five builds: a portable scalar reference, an SSSE3
-// PSHUFB split-nibble build, an AVX2 VPSHUFB build, an AVX-512BW build
-// (64-byte VPSHUFB strips), and a GFNI build that computes GF(2^8) products
+// The EC kernels ship in four builds: a portable scalar reference, an AVX2
+// VPSHUFB split-nibble build, an AVX-512BW build (64-byte VPSHUFB strips),
+// and a GFNI build that computes GF(2^8) products
 // directly with GF2P8AFFINEQB from one 8x8 affine bit-matrix per
 // coefficient — no split-nibble tables at all. The best backend the host
 // supports is detected once (cpuid) and installed as the process-wide
-// dispatch choice; `MLEC_EC_BACKEND=scalar|ssse3|avx2|avx512|gfni|auto`
+// dispatch choice; `MLEC_EC_BACKEND=scalar|avx2|avx512|gfni|auto`
 // (case-insensitive) overrides the choice for testing and benchmarking, and
 // tests can swap backends at runtime with force_backend()/ScopedBackend.
 //
@@ -21,19 +21,21 @@
 
 namespace mlec::ec {
 
+/// The values are stable identifiers (1 was the retired 16-byte SSSE3 build,
+/// which measured below AVX2 on every kernel; scalar is the portable floor).
 enum class Backend {
   kScalar = 0,  ///< portable split-nibble reference, always available
-  kSsse3 = 1,   ///< 16-byte PSHUFB kernels
   kAvx2 = 2,    ///< 32-byte VPSHUFB kernels
   kAvx512 = 3,  ///< 64-byte VPSHUFB kernels (AVX-512BW)
   kGfni = 4,    ///< 64-byte GF2P8AFFINEQB kernels (GFNI + AVX-512BW/VL)
 };
 
-inline constexpr int kBackendCount = 5;
+inline constexpr Backend kAllBackends[] = {Backend::kScalar, Backend::kAvx2, Backend::kAvx512,
+                                           Backend::kGfni};
 
 const char* to_string(Backend backend);
 
-/// Parse "scalar" / "ssse3" / "avx2" / "avx512" / "gfni" (case-insensitive,
+/// Parse "scalar" / "avx2" / "avx512" / "gfni" (case-insensitive,
 /// as documented for MLEC_EC_BACKEND). "auto" and unknown strings return
 /// nullopt.
 std::optional<Backend> parse_backend(std::string_view name);
@@ -51,7 +53,7 @@ bool backend_host_supported(Backend backend);
 bool backend_supported(Backend backend);
 
 /// Best supported backend on this host (cpuid at first call, then cached).
-/// Preference order: gfni > avx512 > avx2 > ssse3 > scalar.
+/// Preference order: gfni > avx512 > avx2 > scalar.
 Backend detect_backend();
 
 /// Resolve an MLEC_EC_BACKEND-style override string. Empty or "auto"

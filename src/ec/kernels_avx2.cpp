@@ -72,9 +72,9 @@ void dot_avx2(const MulTable* tables, std::size_t k, std::size_t p, const byte_t
     detail::dot_scalar(tables, k, p, src, dst, len, accumulate);
     return;
   }
-  // Strip-outer / group-inner one-pass encode (see the SSSE3 twin for the
-  // rationale); 32-byte strips, accumulators for up to 4 output rows live in
-  // ymm registers.
+  // Strip-outer / group-inner: each 32-byte strip of every source is loaded
+  // (and nibble-split) once per group of up to 4 output rows, with the
+  // accumulators pinned in ymm registers — the fused one-pass encode.
   constexpr std::size_t kGroup = 4;
   const __m256i mask = _mm256_set1_epi8(0x0f);
   std::size_t pos = 0;

@@ -76,7 +76,7 @@ void dot_avx512(const MulTable* tables, std::size_t k, std::size_t p, const byte
     detail::dot_scalar(tables, k, p, src, dst, len, accumulate);
     return;
   }
-  // Strip-outer / group-inner one-pass encode (see the SSSE3 twin for the
+  // Strip-outer / group-inner one-pass encode (see the AVX2 twin for the
   // rationale); 64-byte strips, accumulators for up to 4 output rows live in
   // zmm registers.
   constexpr std::size_t kGroup = 4;

@@ -10,7 +10,6 @@ namespace mlec::ec::detail {
 /// targets a non-x86 architecture (the dispatcher then reports those
 /// backends unsupported regardless of cpuid).
 const Kernels* scalar_kernel_table();
-const Kernels* ssse3_kernel_table();
 const Kernels* avx2_kernel_table();
 const Kernels* avx512_kernel_table();
 const Kernels* gfni_kernel_table();

@@ -108,7 +108,7 @@ void dot_gfni(const MulTable* tables, std::size_t k, std::size_t p, const byte_t
   std::vector<std::uint64_t> mats(p * k);
   for (std::size_t i = 0; i < p * k; ++i) mats[i] = matrix_for(tables[i]);
 
-  // Strip-outer / group-inner one-pass encode (see the SSSE3 twin for the
+  // Strip-outer / group-inner one-pass encode (see the AVX2 twin for the
   // rationale); 64-byte strips, one GF2P8AFFINEQB + XOR per source x output
   // row, accumulators for up to 4 output rows live in zmm registers.
   constexpr std::size_t kGroup = 4;

@@ -11,7 +11,7 @@
 // ec::DecodePlan built once per erasure pattern and cached on the code —
 // repeated repairs of the same pattern (the common case in a rebuild) pay
 // zero matrix arithmetic. Everything is vectorized per the host CPU
-// (scalar / SSSE3 / AVX2 / AVX-512 / GFNI — see ec/backend.hpp for the
+// (scalar / AVX2 / AVX-512 / GFNI — see ec/backend.hpp for the
 // dispatch rules).
 #pragma once
 

@@ -79,8 +79,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   std::vector<byte_t> ref_assign(seed);
   scalar.mul_assign(tables[0], src[0], ref_assign.data(), len);
 
-  for (int b = 0; b < mlec::ec::kBackendCount; ++b) {
-    const auto backend = static_cast<mlec::ec::Backend>(b);
+  for (const auto backend : mlec::ec::kAllBackends) {
     if (backend == mlec::ec::Backend::kScalar || !mlec::ec::backend_supported(backend))
       continue;
     const auto& kernels = mlec::ec::kernels_for(backend);
@@ -132,8 +131,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         truth[k + r][i] = static_cast<byte_t>(
             truth[k + r][i] ^ mlec::gf::mul(gen[(k + r) * k + c], truth[c][i]));
 
-  for (int b = 0; b < mlec::ec::kBackendCount; ++b) {
-    const auto backend = static_cast<mlec::ec::Backend>(b);
+  for (const auto backend : mlec::ec::kAllBackends) {
     if (!mlec::ec::backend_supported(backend)) continue;
     mlec::ec::ScopedBackend scope(backend);
     std::vector<std::vector<byte_t>> shards = truth;

@@ -1,4 +1,4 @@
-// INI / spec_io parser fuzz target.
+// INI / scenario-file parser fuzz target.
 //
 // Contract under test: any byte sequence either parses or raises
 // mlec::PreconditionError carrying a line-numbered diagnostic. Crashes,
@@ -32,10 +32,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     const std::string formatted = mlec::format_scenario(scenario);
     const mlec::IniFile reparsed = mlec::IniFile::parse_string(formatted);
     (void)mlec::load_scenario(reparsed, policy);
-  } catch (const mlec::PreconditionError&) {
-  }
-  try {
-    (void)mlec::load_spec(ini, policy);
   } catch (const mlec::PreconditionError&) {
   }
   return 0;

@@ -128,6 +128,35 @@ TEST(MlecDurability, SplittingOverrideIsHonored) {
   EXPECT_NEAR(with_override.system_cat_rate_per_year, 1e-4 * 2880, 1e-6);
 }
 
+TEST(MlecDurability, DefaultNetworkIsTheRsModel) {
+  // Omitting the network model must mean exactly the RS model of
+  // code.network: same bits in every scheme x method cell, on the paper
+  // default and on a small hot fleet.
+  DurabilityEnv hot;
+  hot.dc.racks = 6;
+  hot.dc.enclosures_per_rack = 2;
+  hot.dc.disks_per_enclosure = 8;
+  hot.afr = 0.5;
+  const struct {
+    DurabilityEnv env;
+    MlecCode code;
+  } cases[] = {{kEnv, kCode}, {hot, MlecCode{{2, 1}, {3, 1}}}};
+  for (const auto& c : cases) {
+    const auto rs = make_code_model(LevelCode::make_rs(c.code.network));
+    for (auto scheme : kAllMlecSchemes) {
+      for (auto method : kAllRepairMethods) {
+        SCOPED_TRACE(to_string(scheme) + " " + to_string(method));
+        const auto implicit = mlec_durability(c.env, c.code, scheme, method);
+        const auto explicit_rs =
+            mlec_durability(c.env, c.code, scheme, method, std::nullopt, rs.get());
+        EXPECT_EQ(implicit.pdl, explicit_rs.pdl);
+        EXPECT_EQ(implicit.coverage, explicit_rs.coverage);
+        EXPECT_EQ(implicit.exposure_hours, explicit_rs.exposure_hours);
+      }
+    }
+  }
+}
+
 TEST(SlecDurability, PaperFigure12Anchor) {
   // The paper quotes local (28+12) SLEC at 33 nines.
   const auto r = slec_durability(kEnv, {28, 12}, {SlecDomain::kLocal, Placement::kClustered});

@@ -25,12 +25,6 @@ namespace {
 
 using gf::byte_t;
 
-std::vector<Backend> all_backends() {
-  std::vector<Backend> out;
-  for (int i = 0; i < kBackendCount; ++i) out.push_back(static_cast<Backend>(i));
-  return out;
-}
-
 std::vector<byte_t> random_buffer(std::size_t len, Rng& rng) {
   std::vector<byte_t> buf(len);
   for (auto& b : buf) b = static_cast<byte_t>(rng.uniform_below(256));
@@ -165,7 +159,7 @@ TEST_P(EcDecodeDifferential, MatchesScalarOverRandomPatterns) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, EcDecodeDifferential, ::testing::ValuesIn(all_backends()),
+INSTANTIATE_TEST_SUITE_P(AllBackends, EcDecodeDifferential, ::testing::ValuesIn(kAllBackends),
                          [](const auto& info) { return to_string(info.param); });
 
 TEST(EcDecodeParallel, MatchesSerialBitExactly) {

@@ -24,15 +24,9 @@ namespace {
 
 using gf::byte_t;
 
-std::vector<Backend> all_backends() {
-  std::vector<Backend> out;
-  for (int i = 0; i < kBackendCount; ++i) out.push_back(static_cast<Backend>(i));
-  return out;
-}
-
 std::vector<Backend> supported() {
   std::vector<Backend> out;
-  for (auto b : all_backends())
+  for (auto b : kAllBackends)
     if (backend_supported(b)) out.push_back(b);
   return out;
 }
@@ -58,7 +52,7 @@ const std::vector<std::size_t> kLengths{0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65
 const std::vector<std::size_t> kOffsets{0, 1, 3, 8, 15};
 
 TEST(EcBackend, NamesRoundTrip) {
-  for (auto b : all_backends()) {
+  for (auto b : kAllBackends) {
     const auto parsed = parse_backend(to_string(b));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, b);
@@ -70,7 +64,7 @@ TEST(EcBackend, NamesRoundTrip) {
 TEST(EcBackend, ParseIsCaseInsensitive) {
   EXPECT_EQ(parse_backend("GFNI"), Backend::kGfni);
   EXPECT_EQ(parse_backend("Avx512"), Backend::kAvx512);
-  EXPECT_EQ(parse_backend("SSSE3"), Backend::kSsse3);
+  EXPECT_EQ(parse_backend("AVX2"), Backend::kAvx2);
   EXPECT_EQ(parse_backend("Scalar"), Backend::kScalar);
 }
 
@@ -90,7 +84,18 @@ TEST(EcBackend, ResolveOverridePolicy) {
     EXPECT_NE(std::string_view(e.what()).find("valid:"), std::string_view::npos);
     EXPECT_NE(std::string_view(e.what()).find("gfni"), std::string_view::npos);
   }
-  for (auto b : all_backends()) {
+  // The retired SSSE3 build is an unknown name now, not a known-unsupported
+  // one: the message lists exactly the dispatched set.
+  try {
+    resolve_backend_override("ssse3");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string_view(e.what()).find("unknown MLEC_EC_BACKEND 'ssse3'"),
+              std::string_view::npos);
+    EXPECT_NE(std::string_view(e.what()).find("(valid: scalar, avx2, avx512, gfni, auto)"),
+              std::string_view::npos);
+  }
+  for (auto b : kAllBackends) {
     if (backend_supported(b))
       EXPECT_EQ(resolve_backend_override(to_string(b)), b);
     else
@@ -113,7 +118,7 @@ TEST(EcBackend, ForceBackendSwitchesDispatch) {
 }
 
 TEST(EcBackend, ForceUnsupportedThrows) {
-  for (auto b : all_backends()) {
+  for (auto b : kAllBackends) {
     if (backend_supported(b)) continue;
     EXPECT_THROW(force_backend(b), PreconditionError) << to_string(b);
     return;
@@ -233,7 +238,7 @@ TEST_P(EcKernelParity, FusedDotMatchesNaiveGfMul) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, EcKernelParity, ::testing::ValuesIn(all_backends()),
+INSTANTIATE_TEST_SUITE_P(AllBackends, EcKernelParity, ::testing::ValuesIn(kAllBackends),
                          [](const auto& info) { return to_string(info.param); });
 
 class EcRoundTrip : public ::testing::TestWithParam<Backend> {};
@@ -286,7 +291,7 @@ TEST_P(EcRoundTrip, ParityIdenticalAcrossBackends) {
   EXPECT_EQ(parity_scalar, parity_backend);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, EcRoundTrip, ::testing::ValuesIn(all_backends()),
+INSTANTIATE_TEST_SUITE_P(AllBackends, EcRoundTrip, ::testing::ValuesIn(kAllBackends),
                          [](const auto& info) { return to_string(info.param); });
 
 TEST(EcStream, ParallelEncodeMatchesSerial) {

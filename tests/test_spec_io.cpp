@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/repair_time.hpp"
+#include "core/report.hpp"
+#include "util/table.hpp"
+
 namespace mlec {
 namespace {
 
 TEST(SpecIo, EmptyFileGivesPaperDefaults) {
-  const auto spec = load_spec(IniFile::parse_string(""));
+  const auto spec = load_scenario(IniFile::parse_string("")).system;
   EXPECT_EQ(spec.dc.total_disks(), 57600u);
   EXPECT_EQ(spec.code, MlecCode::paper_default());
   EXPECT_DOUBLE_EQ(spec.afr, 0.01);
@@ -14,7 +18,7 @@ TEST(SpecIo, EmptyFileGivesPaperDefaults) {
 }
 
 TEST(SpecIo, OverridesApply) {
-  const auto spec = load_spec(IniFile::parse_string(R"(
+  const auto spec = load_scenario(IniFile::parse_string(R"(
 [datacenter]
 racks = 30
 disk_capacity_tb = 16
@@ -26,7 +30,7 @@ repair = R_HYB
 
 [failures]
 afr = 0.02
-)"));
+)")).system;
   EXPECT_EQ(spec.dc.racks, 30u);
   EXPECT_DOUBLE_EQ(spec.dc.disk_capacity_tb, 16.0);
   EXPECT_EQ(spec.code, (MlecCode{{4, 2}, {8, 2}}));
@@ -36,12 +40,13 @@ afr = 0.02
 }
 
 TEST(SpecIo, FormatParsesBack) {
-  SystemSpec spec;
+  Scenario sc;
+  SystemSpec& spec = sc.system;
   spec.scheme = MlecScheme::kDC;
   spec.repair = RepairMethod::kRepairFailedOnly;
   spec.afr = 0.03;
   spec.dc.racks = 24;
-  const auto reparsed = load_spec(IniFile::parse_string(format_spec(spec)));
+  const auto reparsed = load_scenario(IniFile::parse_string(format_scenario(sc))).system;
   EXPECT_EQ(reparsed.scheme, spec.scheme);
   EXPECT_EQ(reparsed.repair, spec.repair);
   EXPECT_DOUBLE_EQ(reparsed.afr, spec.afr);
@@ -50,7 +55,7 @@ TEST(SpecIo, FormatParsesBack) {
 }
 
 TEST(SpecIo, ExampleSpecParsesToDefaults) {
-  const auto spec = load_spec(IniFile::parse_string(example_spec()));
+  const auto spec = load_scenario(IniFile::parse_string(example_scenario())).system;
   EXPECT_EQ(spec.dc.total_disks(), 57600u);
   EXPECT_EQ(spec.code, MlecCode::paper_default());
   // The example picks C/D + R_MIN (the paper's best combination).
@@ -59,21 +64,26 @@ TEST(SpecIo, ExampleSpecParsesToDefaults) {
 }
 
 TEST(SpecIo, LoadedSpecDrivesTheAnalyzer) {
-  const auto spec = load_spec(IniFile::parse_string("[code]\nscheme = C/D\n"));
-  const MlecAnalyzer analyzer(spec);
-  EXPECT_NEAR(analyzer.repair_bandwidth().single_disk_mbps, 264.4, 0.5);
+  const auto sc = load_scenario(IniFile::parse_string("[code]\nscheme = C/D\n"));
+  const SystemSpec& spec = sc.system;
+  const double mbps =
+      RepairTimeModel(spec.dc, spec.bandwidth, spec.code).table2_row(spec.scheme).single_disk_mbps;
+  EXPECT_NEAR(mbps, 264.4, 0.5);
+  EXPECT_NE(deployment_report(sc).find("single disk " + Table::num(mbps) + " MB/s"),
+            std::string::npos);
 }
 
 TEST(SpecIo, UnknownKeysAreCollectedWhenAsked) {
   std::vector<std::string> unknown;
   SpecParsePolicy policy;
   policy.unknown_keys = &unknown;
-  const auto spec = load_spec(IniFile::parse_string(R"(
+  const auto spec = load_scenario(IniFile::parse_string(R"(
 [failures]
 afr = 0.02
 detectoin_hours = 2.0
 )"),
-                              policy);
+                                  policy)
+                        .system;
   EXPECT_DOUBLE_EQ(spec.afr, 0.02);            // good keys still apply
   EXPECT_DOUBLE_EQ(spec.detection_hours, 0.5);  // the typo'd one does not
   ASSERT_EQ(unknown.size(), 1u);
@@ -84,28 +94,38 @@ TEST(SpecIo, StrictPolicyTurnsUnknownKeysIntoErrors) {
   SpecParsePolicy policy;
   policy.strict = true;
   try {
-    load_spec(IniFile::parse_string("[datacenter]\nraks = 30\n"), policy);
+    load_scenario(IniFile::parse_string("[datacenter]\nraks = 30\n"), policy);
     FAIL() << "expected PreconditionError";
   } catch (const PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("datacenter.raks"), std::string::npos);
   }
 }
 
-TEST(SpecIo, ScenarioKeysAreUnknownToPlainSpecs) {
-  // [sim] belongs to scenario files; load_spec must flag it, load_scenario
-  // must consume it.
-  const std::string text = "[sim]\nmissions = 5\n";
-  std::vector<std::string> unknown;
+TEST(SpecIo, DeploymentOnlyFileLoadsAsAScenario) {
+  // A file with only the deployment sections is a complete scenario: no
+  // unknown keys under the strict policy, and the estimation knobs keep
+  // their defaults.
   SpecParsePolicy policy;
-  policy.unknown_keys = &unknown;
-  load_spec(IniFile::parse_string(text), policy);
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "sim.missions");
-
-  unknown.clear();
-  const auto sc = load_scenario(IniFile::parse_string(text), policy);
-  EXPECT_TRUE(unknown.empty());
-  EXPECT_EQ(sc.missions, 5u);
+  policy.strict = true;
+  const auto sc = load_scenario(IniFile::parse_string(R"(
+[datacenter]
+racks = 30
+[bandwidth]
+repair_fraction = 0.3
+[code]
+mlec = (4+2)/(8+2)
+scheme = D/D
+[failures]
+afr = 0.02
+)"),
+                                policy);
+  EXPECT_EQ(sc.system.dc.racks, 30u);
+  EXPECT_DOUBLE_EQ(sc.system.bandwidth.repair_fraction, 0.3);
+  EXPECT_EQ(sc.system.code, (MlecCode{{4, 2}, {8, 2}}));
+  EXPECT_EQ(sc.system.scheme, MlecScheme::kDD);
+  EXPECT_DOUBLE_EQ(sc.system.afr, 0.02);
+  EXPECT_EQ(sc.missions, Scenario{}.missions);
+  EXPECT_EQ(sc.failure_kind, FailureDistribution::Kind::kExponential);
 }
 
 TEST(SpecIo, ExampleScenarioHasNoUnknownKeys) {
@@ -115,9 +135,9 @@ TEST(SpecIo, ExampleScenarioHasNoUnknownKeys) {
 }
 
 TEST(SpecIo, BadValuesSurfaceAsErrors) {
-  EXPECT_THROW(load_spec(IniFile::parse_string("[code]\nmlec = banana\n")),
+  EXPECT_THROW(load_scenario(IniFile::parse_string("[code]\nmlec = banana\n")),
                PreconditionError);
-  EXPECT_THROW(load_spec(IniFile::parse_string("[failures]\nafr = lots\n")),
+  EXPECT_THROW(load_scenario(IniFile::parse_string("[failures]\nafr = lots\n")),
                PreconditionError);
 }
 
@@ -176,10 +196,11 @@ TEST(SpecIo, CodeFamilyKeysRoundTripForEveryFamily) {
     std::string text = std::string("[code]\nmlec = ") + c.mlec +
                        "\nfamily = " + c.family + "\n";
     if (c.expect == CodeFamily::kLrc) text += "lrc = (4,2,1)\n";
-    const auto spec = load_spec(IniFile::parse_string(text));
+    const auto sc = load_scenario(IniFile::parse_string(text));
+    const SystemSpec& spec = sc.system;
     EXPECT_EQ(spec.network_family, c.expect) << c.family;
     // format -> parse is the identity on the family axis.
-    const auto again = load_spec(IniFile::parse_string(format_spec(spec)));
+    const auto again = load_scenario(IniFile::parse_string(format_scenario(sc))).system;
     EXPECT_EQ(again.network_family, c.expect) << c.family;
     EXPECT_EQ(again.network_lrc, spec.network_lrc) << c.family;
     EXPECT_EQ(again.network_level(), spec.network_level()) << c.family;
@@ -187,16 +208,18 @@ TEST(SpecIo, CodeFamilyKeysRoundTripForEveryFamily) {
 }
 
 TEST(SpecIo, LrcKeyParsesTheTriple) {
-  const auto spec = load_spec(IniFile::parse_string(
-      "[code]\nmlec = (4+3)/(3+1)\nfamily = lrc\nlrc = (4, 2, 1)\n"));
+  const auto spec =
+      load_scenario(IniFile::parse_string("[code]\nmlec = (4+3)/(3+1)\nfamily = lrc\n"
+                                          "lrc = (4, 2, 1)\n"))
+          .system;
   EXPECT_EQ(spec.network_lrc, (LrcCode{4, 2, 1}));
   EXPECT_EQ(spec.network_level(), LevelCode::make_lrc({4, 2, 1}));
 }
 
 TEST(SpecIo, BadFamilyAndLrcValuesAreDiagnosed) {
-  EXPECT_THROW(load_spec(IniFile::parse_string("[code]\nfamily = raid6\n")),
+  EXPECT_THROW(load_scenario(IniFile::parse_string("[code]\nfamily = raid6\n")),
                PreconditionError);
-  EXPECT_THROW(load_spec(IniFile::parse_string("[code]\nlrc = (4+2+1)\n")),
+  EXPECT_THROW(load_scenario(IniFile::parse_string("[code]\nlrc = (4+2+1)\n")),
                PreconditionError);
 }
 

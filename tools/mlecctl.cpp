@@ -3,9 +3,9 @@
 //   mlecctl <command> [--config FILE] [overrides...]
 //
 // Commands:
-//   analyze      full deployment report (Table 2, traffic, durability)
+//   analyze      full deployment report (Table 2, traffic, dp durability)
 //   estimate     PDL/nines via the estimation strategies, cross-validated
-//   durability   nines for every scheme x repair method (Figure 10 view)
+//   durability   dp nines for every scheme x repair method (Figure 10 view)
 //   burst X Y    PDL of Y simultaneous failures over X racks (Figure 5 cell)
 //   traffic      catastrophic-repair traffic per method (Figure 8 view)
 //   repair       repair bandwidth and times (Table 2 / Figures 6, 9)
@@ -14,7 +14,6 @@
 //   chaos        fault-injection sweep: crash/corrupt/hang every registered
 //                fault point and verify recovery (see analysis/chaos.hpp)
 //   advise       apply the paper's §6.1 takeaways to a site profile
-//   spec         print an annotated deployment-file template
 //   scenario     print an annotated scenario-file template
 //   ec           show the erasure-coding data-plane backends (SIMD dispatch)
 //
@@ -27,7 +26,7 @@
 //   cancel JOB   cancel a queued or running job
 //   shutdown     ask the daemon to exit cleanly
 //
-// --config FILE loads a scenario file (a deployment file is a valid
+// --config FILE loads a scenario file (a deployment-only file is a valid
 // scenario). Overrides (apply after --config): --code "(10+2)/(17+3)",
 // --scheme C/D, --repair R_MIN, --afr 0.01, --detection-min 30, --racks N,
 // --disks-per-enclosure N, --enclosures-per-rack N, --disk-tb N.
@@ -67,9 +66,12 @@
 #include "analysis/chaos.hpp"
 #include "analysis/crosscheck.hpp"
 #include "analysis/fleet_sim.hpp"
+#include "analysis/repair_time.hpp"
 #include "analysis/tradeoff.hpp"
+#include "analysis/traffic.hpp"
 #include "core/advisor.hpp"
-#include "core/analyzer.hpp"
+#include "core/estimator.hpp"
+#include "core/report.hpp"
 #include "core/spec_io.hpp"
 #include "ec/backend.hpp"
 #include "placement/notation.hpp"
@@ -90,7 +92,7 @@ using namespace mlec;
   if (message != nullptr) std::cerr << "mlecctl: " << message << "\n\n";
   std::cerr <<
       "usage: mlecctl <analyze|estimate|durability|burst|traffic|repair|tradeoff|simulate|\n"
-      "                chaos|advise|spec|scenario|ec|\n"
+      "                chaos|advise|scenario|ec|\n"
       "                serve|submit|status|watch|cancel|shutdown>\n"
       "               [--config FILE] [--strict] [--code \"(kn+pn)/(kl+pl)\"] [--scheme C/D]\n"
       "               [--repair R_MIN] [--afr F] [--detection-min M] [--racks N]\n"
@@ -301,7 +303,7 @@ Options parse_options(int argc, char** argv) {
 }
 
 int cmd_analyze(const Options& opt) {
-  std::cout << MlecAnalyzer(opt.spec()).report();
+  std::cout << deployment_report(opt.scenario);
   return 0;
 }
 
@@ -377,14 +379,17 @@ int cmd_estimate(const Options& opt) {
 
 int cmd_durability(const Options& opt) {
   Table t({"scheme", "R_ALL", "R_FCO", "R_HYB", "R_MIN"});
-  const auto env = opt.scenario.durability_env();
+  const Estimator& dp = *find_estimator("dp");
   for (auto scheme : kAllMlecSchemes) {
     std::vector<std::string> row{to_string(scheme)};
     for (auto method : kAllRepairMethods) {
+      Scenario cell = opt.scenario;
+      cell.system.scheme = scheme;
+      cell.system.repair = method;
       try {
-        row.push_back(Table::num(mlec_durability(env, opt.spec().code, scheme, method).nines, 1));
+        row.push_back(Table::num(dp.estimate(cell).nines, 1));
       } catch (const PreconditionError&) {
-        row.push_back("n/a");  // placement constraints unmet for this scheme
+        row.push_back("n/a");  // placement constraints unmet, or outside dp's domain
       }
     }
     t.add_row(std::move(row));
@@ -749,8 +754,7 @@ int cmd_ec() {
             << "  forced via env:   " << (forced && *forced ? forced : "(unset)") << '\n'
             << '\n'
             << "  backend   built  host   usable  state\n";
-  for (int i = 0; i < ec::kBackendCount; ++i) {
-    const auto b = static_cast<ec::Backend>(i);
+  for (const auto b : ec::kAllBackends) {
     const bool built = ec::backend_built(b);
     const bool host = ec::backend_host_supported(b);
     std::string state;
@@ -760,7 +764,7 @@ int cmd_ec() {
               << (built ? "yes" : "no") << std::setw(7) << (host ? "yes" : "no") << std::setw(8)
               << (ec::backend_supported(b) ? "yes" : "no") << state << '\n';
   }
-  std::cout << "\n  force via env:    MLEC_EC_BACKEND=scalar|ssse3|avx2|avx512|gfni|auto\n"
+  std::cout << "\n  force via env:    MLEC_EC_BACKEND=scalar|avx2|avx512|gfni|auto\n"
             << "  (unknown or unsupported values fail instead of falling back)\n";
   return 0;
 }
@@ -792,10 +796,6 @@ int main(int argc, char** argv) {
     if (command == "cancel") return cmd_cancel(opt);
     if (command == "shutdown") return cmd_shutdown(opt);
     if (command == "advise") return cmd_advise(opt);
-    if (command == "spec") {
-      std::cout << example_spec();
-      return 0;
-    }
     if (command == "scenario") {
       std::cout << example_scenario();
       return 0;
