@@ -166,7 +166,7 @@ double measure_gbps(std::size_t bytes, Fn&& fn) {
 int run_json_sweep(const std::string& path) {
   const std::vector<std::size_t> sizes{4 << 10, 64 << 10, 128 << 10, 1 << 20};
   // (10+2)/(17+3) are the paper's MLEC levels; (28+12) stresses high parity
-  // counts; (50+10) is the wide-RS stripe served by CodeFamily::kRsWide.
+  // counts; (50+10) is a wide RS stripe.
   const std::vector<std::pair<std::size_t, std::size_t>> codes{
       {10, 2}, {17, 3}, {28, 12}, {50, 10}};
   std::vector<JsonResult> results;

@@ -22,9 +22,6 @@ void FleetSimConfig::validate() const {
   dc.validate();
   code.validate();
   bandwidth.validate();
-  MLEC_REQUIRE(failures.kind == FailureDistribution::Kind::kExponential,
-               "failures.kind must be exponential: the fleet simulator draws exponential "
-               "lifetimes from the AFR and has no Weibull engine");
   MLEC_REQUIRE(detection_hours >= 0.0, "detection time must be non-negative");
   MLEC_REQUIRE(mission_hours > 0.0, "mission must be positive");
 }

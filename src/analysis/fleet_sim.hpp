@@ -14,8 +14,7 @@
 // chunk-aware repair methods (the paper's §4.2.3 F#1).
 //
 // Failure sources merged into one mission timeline: exponential lifetimes
-// drawn from `failures.afr`, injected bursts, and replayed traces. Only the
-// exponential kind is simulated; validate() rejects any other.
+// drawn from `failures.afr`, injected bursts, and replayed traces.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,8 @@
 //   markov  two-level birth-death chains — "treat a local pool like a
 //           disk" — sharing stage-2 exposure/coverage closed forms with dp.
 //
-// Not every method covers every scenario: Weibull lifetimes, latent-error
-// (URE) rates, burst climates, and priority repair each narrow the set.
+// Not every method covers every scenario: latent-error (URE) rates, burst
+// climates, priority repair and the LRC network family each narrow the set.
 // applicability() returns a human-readable reason instead of guessing.
 #pragma once
 

@@ -94,13 +94,6 @@ void finish_campaign_estimate(Estimate& e, CampaignReport report, DegradePolicy 
   apply_degrade_policy(e, e.campaign, policy);
 }
 
-/// Shared applicability limits of the exponential-only analytic pipelines.
-std::string analytic_failure_limits(const Scenario& scenario) {
-  if (scenario.failure_kind == FailureDistribution::Kind::kWeibull)
-    return "closed forms assume exponential lifetimes (kind=weibull)";
-  return {};
-}
-
 // ---------------------------------------------------------------------------
 // sim: full-fleet Monte Carlo through the campaign runner.
 
@@ -112,9 +105,6 @@ class SimEstimator final : public Estimator {
   }
 
   std::string applicability(const Scenario& scenario) const override {
-    if (scenario.failure_kind == FailureDistribution::Kind::kWeibull)
-      return "the fleet simulator draws exponential inter-failure times from AFR "
-             "(kind=weibull unsupported)";
     if (scenario.ure_per_bit > 0.0)
       return "latent-error (URE) rates are modeled by the dp estimator only";
     if (scenario.has_bursts())
@@ -164,8 +154,6 @@ class SplitEstimator final : public Estimator {
   }
 
   std::string applicability(const Scenario& scenario) const override {
-    if (scenario.failure_kind == FailureDistribution::Kind::kWeibull)
-      return "the stage-1 pool simulator draws exponential lifetimes (kind=weibull unsupported)";
     if (scenario.ure_per_bit > 0.0)
       return "the stage-1 pool simulator does not model latent errors (use dp)";
     if (scenario.has_bursts())
@@ -235,7 +223,6 @@ class DpEstimator final : public Estimator {
   }
 
   std::string applicability(const Scenario& scenario) const override {
-    if (auto why = analytic_failure_limits(scenario); !why.empty()) return why;
     if (local_placement(scenario.system.scheme) == Placement::kDeclustered &&
         !scenario.priority_repair)
       return "the declustered closed form models priority reconstruction "
@@ -292,7 +279,6 @@ class MarkovEstimator final : public Estimator {
   }
 
   std::string applicability(const Scenario& scenario) const override {
-    if (auto why = analytic_failure_limits(scenario); !why.empty()) return why;
     if (scenario.ure_per_bit > 0.0)
       return "the birth-death chains do not model latent errors (use dp)";
     if (scenario.has_bursts())

@@ -17,16 +17,12 @@ void Scenario::validate() const {
                  "[code] mlec network part must equal the LRC shape: k_n = k and "
                  "p_n = l + r (pool layout arithmetic depends on it)");
   }
-  // Surfaces family-specific limits (wide-RS k floor, LRC table width)
-  // here rather than mid-estimate; the factory caches the result.
+  // Surfaces family-specific limits (the GF(256) width cap, LRC table
+  // width) here rather than mid-estimate; the factory caches the result.
   (void)make_code_model(net);
   MLEC_REQUIRE(system.afr > 0.0 && system.afr < 1.0, "AFR must be in (0,1)");
   MLEC_REQUIRE(system.detection_hours >= 0.0, "detection time must be non-negative");
   MLEC_REQUIRE(system.mission_hours > 0.0, "mission must be positive");
-  if (failure_kind == FailureDistribution::Kind::kWeibull) {
-    MLEC_REQUIRE(weibull_shape > 0.0, "Weibull shape must be positive");
-    MLEC_REQUIRE(weibull_scale_hours > 0.0, "Weibull scale must be positive");
-  }
   MLEC_REQUIRE(ure_per_bit >= 0.0, "URE rate must be non-negative");
   MLEC_REQUIRE(bursts.bursts_per_year >= 0.0, "burst rate must be non-negative");
   MLEC_REQUIRE(missions > 0, "sim missions must be positive");
@@ -35,15 +31,6 @@ void Scenario::validate() const {
   // Construction checks the code fits the topology under this scheme.
   const PoolLayout layout(system.dc, system.code, system.scheme);
   (void)layout;
-}
-
-FailureDistribution Scenario::failure_distribution() const {
-  FailureDistribution dist;
-  dist.kind = failure_kind;
-  dist.afr = system.afr;
-  dist.weibull_shape = weibull_shape;
-  dist.weibull_scale_hours = weibull_scale_hours;
-  return dist;
 }
 
 DurabilityEnv Scenario::durability_env() const {
@@ -58,7 +45,7 @@ FleetSimConfig Scenario::fleet_config() const {
   cfg.scheme = system.scheme;
   cfg.method = system.repair;
   cfg.bandwidth = system.bandwidth;
-  cfg.failures = failure_distribution();
+  cfg.failures.afr = system.afr;
   cfg.detection_hours = system.detection_hours;
   cfg.mission_hours = system.mission_hours;
   cfg.priority_repair = priority_repair;

@@ -2,8 +2,8 @@
 //
 // A Scenario is the single description of an evaluation run that all four
 // estimation strategies (core/estimator.hpp) and every `mlecctl` verb
-// consume: the deployment (SystemSpec), the failure model (exponential or
-// Weibull, optional burst climate, optional latent-error rate), the repair
+// consume: the deployment (SystemSpec), the failure model (exponential
+// lifetimes, optional burst climate, optional latent-error rate), the repair
 // policy (priority reconstruction), and the method-specific estimation
 // knobs (mission counts, trial counts, seed). It is INI round-trippable through spec_io
 // (load_scenario / format_scenario), so the same file drives `mlecctl`,
@@ -24,7 +24,6 @@
 #include "gf/code_model.hpp"
 #include "placement/codes.hpp"
 #include "placement/schemes.hpp"
-#include "sim/failure_gen.hpp"
 #include "sim/local_pool_sim.hpp"
 #include "topology/bandwidth.hpp"
 #include "topology/topology.hpp"
@@ -44,19 +43,15 @@ struct SystemSpec {
   double mission_hours = 8766.0;
   /// Network-level code family. kRs keeps the paper's MDS analysis; kLrc
   /// interprets `network_lrc` as the network level (its width must match
-  /// code.network_width() so pool layout arithmetic is unchanged); kRsWide
-  /// tags wide stripes (k >= 50). The local level stays Reed-Solomon.
+  /// code.network_width() so pool layout arithmetic is unchanged). The
+  /// local level stays Reed-Solomon.
   CodeFamily network_family = CodeFamily::kRs;
   LrcCode network_lrc{};
 
   /// The network level as a pluggable LevelCode for make_code_model().
   LevelCode network_level() const {
-    switch (network_family) {
-      case CodeFamily::kRs: return LevelCode::make_rs(code.network);
-      case CodeFamily::kRsWide: return LevelCode::make_wide(code.network);
-      case CodeFamily::kLrc: return LevelCode::make_lrc(network_lrc);
-    }
-    return LevelCode::make_rs(code.network);
+    return network_family == CodeFamily::kLrc ? LevelCode::make_lrc(network_lrc)
+                                              : LevelCode::make_rs(code.network);
   }
 };
 
@@ -67,13 +62,6 @@ struct Scenario {
   /// Deployment: topology, bandwidth, code, scheme, repair method, AFR,
   /// detection and mission times.
   SystemSpec system;
-
-  /// Failure-source kind. The analytic estimators and the fleet simulator
-  /// draw exponential lifetimes from system.afr; kWeibull narrows which
-  /// estimators apply.
-  FailureDistribution::Kind failure_kind = FailureDistribution::Kind::kExponential;
-  double weibull_shape = 1.2;
-  double weibull_scale_hours = 8.766e5;
 
   /// Declustered priority reconstruction (the paper's default).
   bool priority_repair = true;
@@ -96,7 +84,6 @@ struct Scenario {
 
   bool has_bursts() const { return bursts.bursts_per_year > 0.0; }
 
-  FailureDistribution failure_distribution() const;
   /// Environment for the analytic durability pipeline (includes ure_per_bit).
   DurabilityEnv durability_env() const;
   /// Full-fleet Monte-Carlo configuration (method=sim).

@@ -34,8 +34,6 @@ constexpr std::pair<const char*, const char*> kScenarioKeys[] = {
     {"failures", "detection_hours"},
     {"failures", "mission_hours"},
     {"failures", "kind"},
-    {"failures", "weibull_shape"},
-    {"failures", "weibull_scale_hours"},
     {"failures", "ure_per_bit"},
     {"sim", "priority_repair"},
     {"sim", "missions"},
@@ -125,20 +123,16 @@ double get_sized(const IniFile& ini, const std::string& section, const std::stri
   return value * unit_bytes / native_unit_bytes;
 }
 
-FailureDistribution::Kind parse_failure_kind(const std::string& text) {
-  if (text == "exponential") return FailureDistribution::Kind::kExponential;
-  if (text == "weibull") return FailureDistribution::Kind::kWeibull;
-  throw PreconditionError("unknown failure kind '" + text +
-                          "' (expected exponential or weibull)");
-}
-
-const char* to_string(FailureDistribution::Kind kind) {
-  return kind == FailureDistribution::Kind::kWeibull ? "weibull" : "exponential";
-}
-
 }  // namespace
 
 Scenario load_scenario(const IniFile& ini, const SpecParsePolicy& policy) {
+  // Only exponential lifetimes are modeled. The key is still read so that a
+  // file asking for another kind is refused, never estimated as exponential;
+  // checked first so the refusal names it even when the file also carries
+  // the retired Weibull parameters.
+  if (const auto kind = ini.get("failures", "kind"); kind && *kind != "exponential")
+    throw PreconditionError("failures.kind = '" + *kind +
+                            "' is not supported: only exponential lifetimes are modeled");
   check_unknown_keys(ini, policy);
   Scenario sc;
   sc.name = ini.get_string("scenario", "name", sc.name);
@@ -168,10 +162,6 @@ Scenario load_scenario(const IniFile& ini, const SpecParsePolicy& policy) {
   spec.afr = ini.get_double("failures", "afr", spec.afr);
   spec.detection_hours = ini.get_double("failures", "detection_hours", spec.detection_hours);
   spec.mission_hours = ini.get_double("failures", "mission_hours", spec.mission_hours);
-  if (const auto kind = ini.get("failures", "kind")) sc.failure_kind = parse_failure_kind(*kind);
-  sc.weibull_shape = ini.get_double("failures", "weibull_shape", sc.weibull_shape);
-  sc.weibull_scale_hours =
-      ini.get_double("failures", "weibull_scale_hours", sc.weibull_scale_hours);
   sc.ure_per_bit = ini.get_double("failures", "ure_per_bit", sc.ure_per_bit);
 
   sc.priority_repair = ini.get_bool("sim", "priority_repair", sc.priority_repair);
@@ -211,9 +201,6 @@ std::string format_scenario(const Scenario& sc) {
      << "afr = " << spec.afr << '\n'
      << "detection_hours = " << spec.detection_hours << '\n'
      << "mission_hours = " << spec.mission_hours << '\n'
-     << "kind = " << to_string(sc.failure_kind) << '\n'
-     << "weibull_shape = " << sc.weibull_shape << '\n'
-     << "weibull_scale_hours = " << sc.weibull_scale_hours << '\n'
      << "ure_per_bit = " << sc.ure_per_bit << "\n\n";
   os << "[sim]\n"
      << "priority_repair = " << (sc.priority_repair ? "true" : "false") << '\n'
@@ -235,8 +222,9 @@ std::string scenario_identity(const Scenario& sc) {
   // v2: the network code-family axis joined the identity. The family-
   // qualified LevelCode notation canonicalizes spellings (an explicit
   // `family = rs` and the default collapse to the same string; any LRC
-  // parameter change yields a different one).
-  os << "mlec-scenario-identity-v2"
+  // parameter change yields a different one). v3: the Weibull fields,
+  // which no estimate read, left the identity.
+  os << "mlec-scenario-identity-v3"
      << "|racks=" << s.dc.racks
      << "|enclosures_per_rack=" << s.dc.enclosures_per_rack
      << "|disks_per_enclosure=" << s.dc.disks_per_enclosure
@@ -252,9 +240,6 @@ std::string scenario_identity(const Scenario& sc) {
      << "|afr=" << s.afr
      << "|detection_hours=" << s.detection_hours
      << "|mission_hours=" << s.mission_hours
-     << "|kind=" << to_string(sc.failure_kind)
-     << "|weibull_shape=" << sc.weibull_shape
-     << "|weibull_scale_hours=" << sc.weibull_scale_hours
      << "|priority_repair=" << (sc.priority_repair ? 1 : 0)
      << "|ure_per_bit=" << sc.ure_per_bit
      << "|bursts_per_year=" << sc.bursts.bursts_per_year
@@ -292,7 +277,7 @@ repair_fraction = 0.2    # share of raw bandwidth repairs may use
 
 [code]
 mlec = (10+2)/(17+3)     # (kn+pn)/(kl+pl)
-family = rs              # network level: rs, rs_wide (kn >= 50), lrc
+family = rs              # network level: rs or lrc
 #lrc = (10,1,1)          # LRC shape when family = lrc; needs k = kn, l+r = pn
 scheme = C/D             # C/C, C/D, D/C, D/D
 repair = R_MIN           # R_ALL, R_FCO, R_HYB, R_MIN
@@ -301,9 +286,6 @@ repair = R_MIN           # R_ALL, R_FCO, R_HYB, R_MIN
 afr = 0.01               # annual failure rate
 detection_hours = 0.5
 mission_hours = 8766     # one year
-kind = exponential       # or weibull (narrows applicable estimators)
-weibull_shape = 1.2      # used only when kind = weibull
-weibull_scale_hours = 876600
 ure_per_bit = 0          # latent-error rate; 0 disables (analytic only)
 
 [sim]

@@ -31,8 +31,8 @@ ErasureMask mask_of(std::span<const std::size_t> erased, std::size_t width) {
 }
 
 // ---------------------------------------------------------------------------
-// Reed-Solomon (classic and wide): MDS, so every structural query is closed
-// form over (k, p); the byte plane delegates to gf::RsCode.
+// Reed-Solomon (any width up to 256 shards): MDS, so every structural query
+// is closed form over (k, p); the byte plane delegates to gf::RsCode.
 
 class RsCodeModel final : public CodeModel {
  public:
@@ -305,7 +305,6 @@ class LrcCodeModel final : public CodeModel {
 const char* to_string(CodeFamily family) {
   switch (family) {
     case CodeFamily::kRs: return "rs";
-    case CodeFamily::kRsWide: return "rs_wide";
     case CodeFamily::kLrc: return "lrc";
   }
   throw InternalError("unknown code family");
@@ -313,10 +312,8 @@ const char* to_string(CodeFamily family) {
 
 CodeFamily parse_code_family(const std::string& text) {
   if (text == "rs") return CodeFamily::kRs;
-  if (text == "rs_wide") return CodeFamily::kRsWide;
   if (text == "lrc") return CodeFamily::kLrc;
-  throw PreconditionError("unknown code family '" + text +
-                          "' (expected rs, rs_wide, or lrc)");
+  throw PreconditionError("unknown code family '" + text + "' (expected rs, lrc)");
 }
 
 std::string LevelCode::notation() const {
@@ -327,11 +324,6 @@ void LevelCode::validate() const {
   switch (family) {
     case CodeFamily::kRs:
       rs.validate();
-      MLEC_REQUIRE(rs.width() <= 256, "RS over GF(256) supports at most 256 shards");
-      return;
-    case CodeFamily::kRsWide:
-      rs.validate();
-      MLEC_REQUIRE(rs.k >= 50, "wide RS starts at k = 50 (use family=rs below that)");
       MLEC_REQUIRE(rs.width() <= 256, "RS over GF(256) supports at most 256 shards");
       return;
     case CodeFamily::kLrc:

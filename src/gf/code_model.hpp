@@ -15,12 +15,11 @@
 //    closed forms consume in place of the MDS "p" everywhere;
 //  * the concrete encoder/decoder over the SIMD ec:: data plane.
 //
-// Families shipped here: classic Reed-Solomon (kRs), wide Reed-Solomon
-// (kRsWide, k >= 50, exercising the GF(256) 256-symbol limit), and
-// Azure-style LRC (kLrc) with XOR local parities per group and Cauchy
-// global parities. make_code_model() caches models per parameter set, so
-// the (expensive for LRC) decodability table and the encode plans are
-// built once per process.
+// Families shipped here: Reed-Solomon (kRs, any width up to the GF(256)
+// 256-symbol limit, wide stripes included) and Azure-style LRC (kLrc) with
+// XOR local parities per group and Cauchy global parities.
+// make_code_model() caches models per parameter set, so the (expensive for
+// LRC) decodability table and the encode plans are built once per process.
 #pragma once
 
 #include <cstdint>
@@ -35,24 +34,22 @@
 namespace mlec {
 
 enum class CodeFamily {
-  kRs,      ///< classic MDS Reed-Solomon
-  kRsWide,  ///< Reed-Solomon with k >= 50 (wide stripes, plan caching)
-  kLrc,     ///< Azure-style (k, l, r) locally repairable code
+  kRs,   ///< MDS Reed-Solomon
+  kLrc,  ///< Azure-style (k, l, r) locally repairable code
 };
 
 const char* to_string(CodeFamily family);
-/// Parses "rs", "rs_wide", "lrc" (the spec_io [code] family key).
+/// Parses "rs", "lrc" (the spec_io [code] family key).
 CodeFamily parse_code_family(const std::string& text);
 
 /// One MLEC level's code selection: the family plus its parameters. The
-/// rs field carries kRs/kRsWide shapes; the lrc field carries kLrc shapes.
+/// rs field carries kRs shapes; the lrc field carries kLrc shapes.
 struct LevelCode {
   CodeFamily family = CodeFamily::kRs;
   SlecCode rs{0, 0};
   LrcCode lrc{};
 
   static LevelCode make_rs(SlecCode code) { return {CodeFamily::kRs, code, {}}; }
-  static LevelCode make_wide(SlecCode code) { return {CodeFamily::kRsWide, code, {}}; }
   static LevelCode make_lrc(LrcCode code) { return {CodeFamily::kLrc, {0, 0}, code}; }
 
   std::size_t data_chunks() const { return family == CodeFamily::kLrc ? lrc.k : rs.k; }
@@ -61,8 +58,7 @@ struct LevelCode {
   }
   std::size_t width() const { return data_chunks() + parity_chunks(); }
 
-  /// Family-qualified notation, e.g. "rs(10+2)", "rs_wide(50+10)",
-  /// "lrc(12,2,2)".
+  /// Family-qualified notation, e.g. "rs(10+2)", "lrc(12,2,2)".
   std::string notation() const;
   void validate() const;
   bool operator==(const LevelCode&) const = default;
@@ -125,7 +121,7 @@ class CodeModel {
 /// Build (or fetch from the process-wide cache) the model for `level`.
 /// Models are immutable and shared; repeated calls with the same parameters
 /// return the same instance, so encode plans and decodability tables exist
-/// once per process (the wide-RS "plan caching" requirement).
+/// once per process.
 std::shared_ptr<const CodeModel> make_code_model(const LevelCode& level);
 
 }  // namespace mlec

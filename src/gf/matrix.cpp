@@ -22,15 +22,6 @@ Matrix Matrix::cauchy(std::size_t rows, std::size_t cols) {
   return m;
 }
 
-Matrix Matrix::vandermonde(std::size_t rows, std::size_t cols) {
-  MLEC_REQUIRE(cols <= 256, "Vandermonde needs cols <= 256");
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < cols; ++j)
-      m.at(i, j) = pow(static_cast<byte_t>(j), static_cast<unsigned>(i));
-  return m;
-}
-
 Matrix Matrix::multiply(const Matrix& other) const {
   MLEC_REQUIRE(cols_ == other.rows_, "dimension mismatch in matrix multiply");
   Matrix out(rows_, other.cols_);

@@ -28,10 +28,6 @@ class Matrix {
   /// the systematic [I; C] generator MDS for k = cols, p = rows.
   static Matrix cauchy(std::size_t rows, std::size_t cols);
 
-  /// Vandermonde rows x cols: a[i][j] = j^i (with 0^0 = 1). Kept for layout
-  /// comparisons/tests; Cauchy is what the coder uses for guaranteed MDS.
-  static Matrix vandermonde(std::size_t rows, std::size_t cols);
-
   Matrix multiply(const Matrix& other) const;
 
   /// Inverse via Gauss-Jordan. Requires a square, nonsingular matrix;

@@ -26,7 +26,10 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 double log_factorial(std::int64_t n) {
   MLEC_REQUIRE(n >= 0, "factorial of negative number");
   if (static_cast<std::size_t>(n) < kTableSize) return log_factorial_table()[static_cast<std::size_t>(n)];
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: glibc's lgamma also writes the global
+  // `signgam`, a data race when pool workers call this concurrently.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double log_choose(std::int64_t n, std::int64_t k) {
@@ -59,24 +62,6 @@ double hypergeom_tail_geq(std::int64_t population, std::int64_t successes, std::
   // Sum the shorter side for accuracy: tail directly when it is short.
   double tail = 0.0;
   for (std::int64_t j = k; j <= hi; ++j) tail += hypergeom_pmf(population, successes, draws, j);
-  return std::min(1.0, tail);
-}
-
-double binomial_pmf(std::int64_t n, double p, std::int64_t k) {
-  MLEC_REQUIRE(n >= 0, "binomial n must be non-negative");
-  if (k < 0 || k > n) return 0.0;
-  if (p <= 0.0) return k == 0 ? 1.0 : 0.0;
-  if (p >= 1.0) return k == n ? 1.0 : 0.0;
-  const double lp = log_choose(n, k) + static_cast<double>(k) * std::log(p) +
-                    static_cast<double>(n - k) * std::log1p(-p);
-  return std::exp(lp);
-}
-
-double binomial_tail_geq(std::int64_t n, double p, std::int64_t k) {
-  if (k <= 0) return 1.0;
-  if (k > n) return 0.0;
-  double tail = 0.0;
-  for (std::int64_t j = k; j <= n; ++j) tail += binomial_pmf(n, p, j);
   return std::min(1.0, tail);
 }
 

@@ -31,10 +31,6 @@ double hypergeom_pmf(std::int64_t population, std::int64_t successes, std::int64
 double hypergeom_tail_geq(std::int64_t population, std::int64_t successes, std::int64_t draws,
                           std::int64_t k);
 
-/// Binomial PMF / upper tail.
-double binomial_pmf(std::int64_t n, double p, std::int64_t k);
-double binomial_tail_geq(std::int64_t n, double p, std::int64_t k);
-
 /// Poisson-binomial: X = sum of independent Bernoulli(p_i).
 /// Full PMF by DP in O(n^2); `cap` truncates the state space — probabilities
 /// of all values >= cap are lumped into the last entry, which is what the

@@ -82,17 +82,10 @@ MlecMarkovResult mlec_markov_mttdl(const MlecMarkovParams& params) {
   return r;
 }
 
-double pdl_over_mission(double mttdl_hours, double mission_hours) {
-  MLEC_REQUIRE(mttdl_hours > 0.0 && mission_hours >= 0.0, "times must be positive");
-  return -std::expm1(-mission_hours / mttdl_hours);
-}
-
 double durability_nines(double pdl) {
   MLEC_REQUIRE(pdl >= 0.0 && pdl <= 1.0, "PDL must be a probability");
   if (pdl == 0.0) return std::numeric_limits<double>::infinity();
   return -std::log10(pdl);
 }
-
-double pdl_from_nines(double nines) { return std::pow(10.0, -nines); }
 
 }  // namespace mlec

@@ -52,15 +52,8 @@ struct MlecMarkovResult {
 
 MlecMarkovResult mlec_markov_mttdl(const MlecMarkovParams& params);
 
-/// Probability of at least one data loss within `mission_hours` for a system
-/// whose losses arrive at rate 1/mttdl_hours (exponential approximation).
-double pdl_over_mission(double mttdl_hours, double mission_hours);
-
 /// Durability "number of nines" = -log10(PDL); the paper's Figure 10/12/15
 /// y-axis. PDL of 0 maps to +inf.
 double durability_nines(double pdl);
-
-/// Inverse of durability_nines.
-double pdl_from_nines(double nines);
 
 }  // namespace mlec

@@ -18,8 +18,8 @@ std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
      << ";scheme=" << to_string(config.scheme) << ";method=" << to_string(config.method)
      << ";bw=" << config.bandwidth.disk_mbps << '/' << config.bandwidth.rack_gbps << '/'
      << config.bandwidth.repair_fraction
-     << ";fail=" << static_cast<int>(config.failures.kind) << '/' << config.failures.afr << '/'
-     << config.failures.weibull_shape << '/' << config.failures.weibull_scale_hours
+     // Retired Weibull kind/shape/scale as every fleet-v3 journal has them, so those resume.
+     << ";fail=0/" << config.failures.afr << "/1.2/876600"
      << ";detect=" << config.detection_hours << ";mission=" << config.mission_hours
      << ";priority=" << config.priority_repair << ";stop_on_loss=" << config.stop_on_loss
      << ";injected=" << config.injected_events.size();

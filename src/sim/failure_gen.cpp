@@ -28,32 +28,21 @@ FailureTrace generate_failures(const Topology& topo, const FailureDistribution& 
   MLEC_REQUIRE(mission_hours > 0.0, "mission must be positive");
   FailureTrace trace;
   const std::size_t disks = topo.config().total_disks();
-  if (dist.kind == FailureDistribution::Kind::kExponential) {
-    // Disk lifetimes are long against the mission, so the first lifetime of
-    // each disk dominates the draw count: batch those through the block-fill
-    // API (chunked so the scratch stays cache-sized), then walk the rare
-    // renewal chains with single draws.
-    const double rate = dist.hourly_rate();
-    constexpr std::size_t kBlock = 1024;
-    std::array<double, kBlock> first;
-    for (std::size_t base = 0; base < disks; base += kBlock) {
-      const std::size_t n = std::min(kBlock, disks - base);
-      rng.exponential_fill(std::span<double>(first.data(), n), rate);
-      for (std::size_t i = 0; i < n; ++i) {
-        double t = first[i];
-        while (t < mission_hours) {
-          trace.push_back({t, static_cast<DiskId>(base + i)});
-          t += rng.exponential(rate);
-        }
-      }
-    }
-  } else {
-    for (std::size_t d = 0; d < disks; ++d) {
-      double t = 0.0;
-      while (true) {
-        t += rng.weibull(dist.weibull_shape, dist.weibull_scale_hours);
-        if (t >= mission_hours) break;
-        trace.push_back({t, static_cast<DiskId>(d)});
+  // Disk lifetimes are long against the mission, so the first lifetime of
+  // each disk dominates the draw count: batch those through the block-fill
+  // API (chunked so the scratch stays cache-sized), then walk the rare
+  // renewal chains with single draws.
+  const double rate = dist.hourly_rate();
+  constexpr std::size_t kBlock = 1024;
+  std::array<double, kBlock> first;
+  for (std::size_t base = 0; base < disks; base += kBlock) {
+    const std::size_t n = std::min(kBlock, disks - base);
+    rng.exponential_fill(std::span<double>(first.data(), n), rate);
+    for (std::size_t i = 0; i < n; ++i) {
+      double t = first[i];
+      while (t < mission_hours) {
+        trace.push_back({t, static_cast<DiskId>(base + i)});
+        t += rng.exponential(rate);
       }
     }
   }

@@ -21,22 +21,19 @@ struct FailureEvent {
 /// A failure trace: time-ordered failure events over a mission.
 using FailureTrace = std::vector<FailureEvent>;
 
-/// Lifetime distribution for generated failures.
+/// Lifetime distribution for generated failures: exponential lifetimes at
+/// a constant annual failure rate, the only failure model the estimators
+/// answer for.
 struct FailureDistribution {
-  enum class Kind { kExponential, kWeibull } kind = Kind::kExponential;
-  /// Annual failure rate for the exponential model (e.g. 0.01 for 1% AFR).
+  /// Annual failure rate (e.g. 0.01 for 1% AFR).
   double afr = 0.01;
-  /// Weibull shape (<1 = infant mortality, >1 = wear-out) and scale (hours);
-  /// used only when kind == kWeibull.
-  double weibull_shape = 1.2;
-  double weibull_scale_hours = 8.766e5;
 
   double hourly_rate() const { return afr / 8766.0; }
 };
 
-/// Generate independent failures for every disk over [0, mission_hours),
-/// with failed disks treated as replaced-and-good after each failure (i.e. a
-/// renewal process per disk). Result is time-sorted.
+/// Generate independent exponential failures for every disk over
+/// [0, mission_hours), with failed disks treated as replaced-and-good after
+/// each failure (i.e. a renewal process per disk). Result is time-sorted.
 FailureTrace generate_failures(const Topology& topo, const FailureDistribution& dist,
                                double mission_hours, Rng& rng);
 

@@ -145,11 +145,6 @@ void Rng::exponential_fill(std::span<double> out, double rate) {
   for (double& v : out) v = standard_exponential() / rate;
 }
 
-double Rng::weibull(double shape, double scale) {
-  MLEC_REQUIRE(shape > 0.0 && scale > 0.0, "weibull parameters must be positive");
-  return scale * std::pow(-std::log1p(-uniform()), 1.0 / shape);
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

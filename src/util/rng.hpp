@@ -77,9 +77,6 @@ class Rng {
   /// Requires rate > 0.
   void exponential_fill(std::span<double> out, double rate);
 
-  /// Weibull(shape, scale) sample. Requires shape > 0 and scale > 0.
-  double weibull(double shape, double scale);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 

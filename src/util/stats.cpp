@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace mlec {
 
 void RunningStats::add(double x) {
@@ -68,42 +66,6 @@ ProportionEstimate::Interval ProportionEstimate::wilson(double z) const {
   // At p = 0 or 1, center -/+ half can round one ulp short of p; clamping
   // to p keeps lo <= p <= hi and changes nothing anywhere else.
   return {std::min(p, std::max(0.0, center - half)), std::max(p, std::min(1.0, center + half))};
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  MLEC_REQUIRE(hi > lo, "histogram range must be non-empty");
-  MLEC_REQUIRE(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double Histogram::quantile(double q) const {
-  MLEC_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac = counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return bin_lo(i) + frac * (bin_hi(i) - bin_lo(i));
-    }
-    cum = next;
-  }
-  return hi_;
 }
 
 }  // namespace mlec

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace mlec {
 
@@ -73,28 +72,6 @@ class ProportionEstimate {
  private:
   std::uint64_t successes_ = 0;
   std::uint64_t trials_ = 0;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the edge
-/// bins so no data is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  /// Empirical quantile (linear within bins). q in [0,1].
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace mlec

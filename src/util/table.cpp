@@ -57,17 +57,6 @@ std::string Table::to_ascii(const std::string& title) const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) os << (c ? "," : "") << cells[c];
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 std::string HeatmapRenderer::render(const std::vector<std::vector<double>>& values,
                                     const std::vector<int>& y_labels,
                                     const std::vector<int>& x_labels, const std::string& title) {

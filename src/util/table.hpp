@@ -1,4 +1,4 @@
-// Text output helpers: aligned ASCII tables, CSV, and log-scale heatmaps.
+// Text output helpers: aligned ASCII tables and log-scale heatmaps.
 //
 // Every bench harness in this repository prints its paper counterpart through
 // these helpers so the output format stays uniform and machine-scrapable.
@@ -10,8 +10,8 @@
 
 namespace mlec {
 
-/// Column-aligned text table with an optional title, printable as ASCII or
-/// CSV. Cells are strings; numeric convenience setters format compactly.
+/// Column-aligned text table with an optional title, printable as ASCII.
+/// Cells are strings; numeric convenience setters format compactly.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -24,9 +24,6 @@ class Table {
 
   /// Render with padded columns, a header separator, and `title` on top.
   std::string to_ascii(const std::string& title = {}) const;
-  /// Render as RFC-4180-ish CSV (no quoting of embedded commas: callers keep
-  /// cell text comma-free by construction).
-  std::string to_csv() const;
 
   /// Compact numeric formatting used across the library: fixed for moderate
   /// magnitudes, scientific for extremes, trailing zeros trimmed.

@@ -104,8 +104,10 @@ TEST(Analyzer, ReportPrintsTheDpNinesForAnLrcNetwork) {
 }
 
 TEST(Analyzer, ReportGivesDpReasonOutsideItsDomain) {
+  // dp's declustered closed form models priority reconstruction only.
   Scenario sc;
-  sc.failure_kind = FailureDistribution::Kind::kWeibull;
+  sc.system.scheme = MlecScheme::kCD;
+  sc.priority_repair = false;
   const std::string why = find_estimator("dp")->applicability(sc);
   ASSERT_FALSE(why.empty());
   const std::string report = deployment_report(sc);

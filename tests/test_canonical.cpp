@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
+#include "runtime/mission_campaign.hpp"
 #include "util/error.hpp"
 #include "util/ini.hpp"
 
@@ -156,6 +158,25 @@ TEST(Canonical, LrcLocalityAndFamilyChangesSeparateFingerprints) {
   std::string rs = kBase;
   rs.replace(rs.find("mlec = (2+1)/(3+1)"), 18, "mlec = (4+3)/(3+1)");
   EXPECT_NE(scenario_fingerprint(from_text(rs)), lrc_fp);
+}
+
+TEST(Canonical, RetiredWeibullKeysDoNotSplitIdentity) {
+  // No estimate reads weibull_shape, so two files that differ only there
+  // are one scenario to the memo cache and one campaign to the journal.
+  std::vector<std::string> unknown;
+  SpecParsePolicy policy;
+  policy.unknown_keys = &unknown;
+  const auto with_shape = [&](const char* shape) {
+    std::string text = kBase;
+    text.replace(text.find("afr = 0.5"), 9, std::string("afr = 0.5\nweibull_shape = ") + shape);
+    return load_scenario(IniFile::parse_string(text), policy);
+  };
+  const Scenario a = with_shape("1.2");
+  const Scenario b = with_shape("0.3");
+  EXPECT_EQ(unknown.size(), 2u);
+  EXPECT_EQ(scenario_fingerprint(a), scenario_fingerprint(b));
+  EXPECT_EQ(fleet_campaign_fingerprint(a.fleet_config()),
+            fleet_campaign_fingerprint(b.fleet_config()));
 }
 
 TEST(Canonical, MalformedUnitSuffixesAreRejected) {

@@ -209,8 +209,8 @@ TEST(CodeModel, LrcRepairReadsFollowTheFailurePattern) {
 // process-wide plan cache.
 
 TEST(CodeModel, WideRsRoundTripsAndValidatesLimits) {
-  const auto model = make_code_model(LevelCode::make_wide({50, 10}));
-  EXPECT_EQ(model->family(), CodeFamily::kRsWide);
+  const auto model = make_code_model(LevelCode::make_rs({50, 10}));
+  EXPECT_EQ(model->family(), CodeFamily::kRs);
   EXPECT_EQ(model->min_tolerance(), 10u);
   Rng rng(9);
   for (int round = 0; round < 5; ++round) {
@@ -219,25 +219,20 @@ TEST(CodeModel, WideRsRoundTripsAndValidatesLimits) {
     EXPECT_TRUE(
         decode_round_trip(*model, std::vector<std::size_t>(sampled.begin(), sampled.end()), rng));
   }
-  // k < 50 is plain rs, not rs_wide; the field still caps width at 256.
-  EXPECT_THROW(make_code_model(LevelCode::make_wide({40, 10})), PreconditionError);
-  EXPECT_THROW(make_code_model(LevelCode::make_wide({250, 10})), PreconditionError);
-  EXPECT_NO_THROW(make_code_model(LevelCode::make_wide({246, 10})));
+  // The field caps width at 256.
+  EXPECT_THROW(make_code_model(LevelCode::make_rs({250, 10})), PreconditionError);
+  EXPECT_NO_THROW(make_code_model(LevelCode::make_rs({246, 10})));
 }
 
 TEST(CodeModel, FactoryCachesPerParameterSet) {
-  const auto a = make_code_model(LevelCode::make_wide({50, 10}));
-  const auto b = make_code_model(LevelCode::make_wide({50, 10}));
+  const auto a = make_code_model(LevelCode::make_rs({50, 10}));
+  const auto b = make_code_model(LevelCode::make_rs({50, 10}));
   EXPECT_EQ(a.get(), b.get());  // one plan/table per process per shape
-  const auto c = make_code_model(LevelCode::make_wide({50, 9}));
+  const auto c = make_code_model(LevelCode::make_rs({50, 9}));
   EXPECT_NE(a.get(), c.get());
   const auto l1 = make_code_model(LevelCode::make_lrc({4, 2, 1}));
   const auto l2 = make_code_model(LevelCode::make_lrc({4, 2, 1}));
   EXPECT_EQ(l1.get(), l2.get());
-  // rs and rs_wide with equal (k, p) are distinct models (different
-  // notation, different family tag).
-  const auto rs = make_code_model(LevelCode::make_rs({50, 10}));
-  EXPECT_NE(rs.get(), a.get());
 }
 
 TEST(CodeModel, LrcTableWidthLimitEnforced) {
@@ -247,12 +242,11 @@ TEST(CodeModel, LrcTableWidthLimitEnforced) {
 
 TEST(CodeModel, NotationIsFamilyQualified) {
   EXPECT_EQ(LevelCode::make_rs({10, 2}).notation(), "rs(10+2)");
-  EXPECT_EQ(LevelCode::make_wide({50, 10}).notation(), "rs_wide(50+10)");
   EXPECT_EQ(LevelCode::make_lrc({12, 2, 2}).notation(), "lrc(12,2,2)");
   EXPECT_EQ(parse_code_family("rs"), CodeFamily::kRs);
-  EXPECT_EQ(parse_code_family("rs_wide"), CodeFamily::kRsWide);
   EXPECT_EQ(parse_code_family("lrc"), CodeFamily::kLrc);
   EXPECT_THROW(parse_code_family("raptor"), PreconditionError);
+  EXPECT_THROW(parse_code_family("rs_wide"), PreconditionError);  // retired tag
 }
 
 }  // namespace

@@ -67,18 +67,6 @@ TEST(Hypergeom, RejectsBadArguments) {
   EXPECT_THROW(hypergeom_pmf(10, 5, 11, 2), PreconditionError);
 }
 
-TEST(Binomial, MatchesDirectFormula) {
-  EXPECT_NEAR(binomial_pmf(10, 0.3, 3), 0.266827932, 1e-9);
-  EXPECT_NEAR(binomial_tail_geq(10, 0.3, 0), 1.0, 1e-12);
-  EXPECT_NEAR(binomial_tail_geq(4, 0.5, 4), 0.0625, 1e-12);
-}
-
-TEST(Binomial, DegenerateP) {
-  EXPECT_DOUBLE_EQ(binomial_pmf(5, 0.0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(binomial_pmf(5, 1.0, 5), 1.0);
-  EXPECT_DOUBLE_EQ(binomial_pmf(5, 1.0, 3), 0.0);
-}
-
 // Brute-force Poisson-binomial by enumerating all outcomes.
 double brute_pb_tail(const std::vector<double>& probs, std::size_t t) {
   const std::size_t n = probs.size();

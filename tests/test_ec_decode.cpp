@@ -1,6 +1,6 @@
 // Decode-path property tests for the SIMD data plane: ec::DecodePlan
 // construction/validation, scalar-vs-SIMD decode differentials over random
-// erasure patterns for every code family (rs, rs_wide, lrc), the parallel
+// erasure patterns for every code family (rs, wide rs, lrc), the parallel
 // streaming decode, and the per-pattern plan caches on the codes.
 #include "ec/decode.hpp"
 
@@ -123,7 +123,7 @@ TEST_P(EcDecodeDifferential, MatchesScalarOverRandomPatterns) {
   Rng rng(20240809);
   const std::vector<LevelCode> levels{
       LevelCode::make_rs({10, 4}),
-      LevelCode::make_wide({50, 10}),
+      LevelCode::make_rs({50, 10}),
       LevelCode::make_lrc(LrcCode{12, 2, 2}),
   };
   for (const auto& level : levels) {

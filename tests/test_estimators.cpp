@@ -51,9 +51,19 @@ TEST(EstimatorRegistry, FourMethodsInPaperOrder) {
   EXPECT_EQ(find_estimator("montecarlo"), nullptr);
 }
 
-TEST(EstimatorApplicability, WeibullNarrowsToNothing) {
+/// The paper default with an LRC network level and a burst climate: only
+/// dp folds in bursts, and dp prices burst cells with MDS counting.
+Scenario lrc_with_bursts() {
   Scenario sc = Scenario::paper_default();
-  sc.failure_kind = FailureDistribution::Kind::kWeibull;
+  sc.system.network_family = CodeFamily::kLrc;
+  sc.system.network_lrc = {10, 1, 1};
+  sc.bursts.bursts_per_year = 1.0;
+  return sc;
+}
+
+TEST(EstimatorApplicability, LrcWithBurstsNarrowsToNothing) {
+  const Scenario sc = lrc_with_bursts();
+  EXPECT_NO_THROW(sc.validate());
   for (const Estimator* e : estimator_registry())
     EXPECT_FALSE(e->applicability(sc).empty()) << e->name();
 }
@@ -95,10 +105,10 @@ TEST(EstimatorApplicability, DeclusteredNetworkExcludesMarkov) {
 }
 
 TEST(Estimators, EstimateThrowsOutsideTheDomain) {
-  Scenario sc = Scenario::paper_default();
-  sc.failure_kind = FailureDistribution::Kind::kWeibull;
-  EXPECT_THROW(find_estimator("sim")->estimate(sc), PreconditionError);
-  EXPECT_THROW(find_estimator("dp")->estimate(sc), PreconditionError);
+  Scenario ure = Scenario::paper_default();
+  ure.ure_per_bit = 1e-16;
+  EXPECT_THROW(find_estimator("sim")->estimate(ure), PreconditionError);
+  EXPECT_THROW(find_estimator("dp")->estimate(lrc_with_bursts()), PreconditionError);
 }
 
 TEST(Estimators, AnalyticPairAgreesOnThePaperDefault) {

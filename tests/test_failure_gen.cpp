@@ -39,17 +39,6 @@ TEST(GenerateFailures, SortedByTime) {
     EXPECT_LE(trace[i - 1].time_hours, trace[i].time_hours);
 }
 
-TEST(GenerateFailures, WeibullRuns) {
-  const Topology topo(small_dc());
-  Rng rng(3);
-  FailureDistribution dist;
-  dist.kind = FailureDistribution::Kind::kWeibull;
-  dist.weibull_shape = 1.5;
-  dist.weibull_scale_hours = 5000.0;
-  const auto trace = generate_failures(topo, dist, 8766.0, rng);
-  EXPECT_GT(trace.size(), 0u);
-}
-
 TEST(GenerateBurst, ExactlyRequestedShape) {
   const Topology topo(small_dc());
   Rng rng(4);

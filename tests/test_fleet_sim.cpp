@@ -315,18 +315,6 @@ TEST(FleetSim, ValidatesConfig) {
   FleetSimConfig cfg;
   cfg.mission_hours = 0.0;
   EXPECT_THROW(simulate_fleet(cfg, 1, 1), PreconditionError);
-
-  // Only exponential lifetimes are simulated; another kind must not run
-  // silently as exponential.
-  FleetSimConfig weibull;
-  weibull.failures.kind = FailureDistribution::Kind::kWeibull;
-  try {
-    weibull.validate();
-    ADD_FAILURE() << "a Weibull failure kind was accepted";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("kind"), std::string::npos) << e.what();
-  }
-  EXPECT_THROW(simulate_fleet(weibull, 1, 1), PreconditionError);
 }
 
 }  // namespace

@@ -102,16 +102,8 @@ TEST(MlecMarkov, TwoLevelBeatsEitherLevelAlone) {
 
 TEST(Nines, RoundTrips) {
   EXPECT_NEAR(durability_nines(1e-5), 5.0, 1e-12);
-  EXPECT_NEAR(pdl_from_nines(5.0), 1e-5, 1e-17);
   EXPECT_TRUE(std::isinf(durability_nines(0.0)));
   EXPECT_THROW(durability_nines(1.5), PreconditionError);
-}
-
-TEST(Mission, PdlOverMission) {
-  // Mission much shorter than MTTDL: PDL ~ mission/mttdl.
-  EXPECT_NEAR(pdl_over_mission(1e9, 8766.0), 8766.0 / 1e9, 1e-10);
-  // Mission equal to MTTDL: 1 - 1/e.
-  EXPECT_NEAR(pdl_over_mission(100.0, 100.0), 1.0 - std::exp(-1.0), 1e-12);
 }
 
 }  // namespace

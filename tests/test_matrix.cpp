@@ -66,14 +66,6 @@ TEST(Matrix, CauchyRejectsOversize) {
   EXPECT_THROW(Matrix::cauchy(200, 100), PreconditionError);
 }
 
-TEST(Matrix, VandermondeFirstRowsAreOnesAndIndices) {
-  const auto v = Matrix::vandermonde(3, 5);
-  for (std::size_t c = 0; c < 5; ++c) {
-    EXPECT_EQ(v.at(0, c), 1);
-    EXPECT_EQ(v.at(1, c), static_cast<byte_t>(c));
-  }
-}
-
 TEST(Matrix, MultiplyDimensionMismatch) {
   Matrix a(2, 3), b(2, 3);
   EXPECT_THROW(a.multiply(b), PreconditionError);

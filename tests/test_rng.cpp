@@ -88,14 +88,6 @@ TEST(Rng, ExponentialRejectsNonPositiveRate) {
   EXPECT_THROW(rng.exponential(-1.0), PreconditionError);
 }
 
-TEST(Rng, WeibullShapeOneIsExponential) {
-  Rng rng(11);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.weibull(1.0, 4.0);
-  EXPECT_NEAR(sum / n, 4.0, 0.2);
-}
-
 TEST(Rng, BernoulliEdges) {
   Rng rng(3);
   EXPECT_FALSE(rng.bernoulli(0.0));

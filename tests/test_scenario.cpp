@@ -17,7 +17,6 @@ TEST(Scenario, PaperDefaultValidates) {
   EXPECT_NO_THROW(sc.validate());
   EXPECT_EQ(sc.system.dc.total_disks(), 57600u);
   EXPECT_EQ(sc.system.code, MlecCode::paper_default());
-  EXPECT_EQ(sc.failure_kind, FailureDistribution::Kind::kExponential);
   EXPECT_FALSE(sc.has_bursts());
 }
 
@@ -32,20 +31,6 @@ TEST(Scenario, RoundTripsEverySchemeAndRepairMethod) {
       EXPECT_EQ(back.system.repair, repair) << to_string(repair);
       EXPECT_EQ(back.system.code, sc.system.code);
     }
-  }
-}
-
-TEST(Scenario, RoundTripsBothFailureKinds) {
-  for (const auto kind :
-       {FailureDistribution::Kind::kExponential, FailureDistribution::Kind::kWeibull}) {
-    Scenario sc = Scenario::paper_default();
-    sc.failure_kind = kind;
-    sc.weibull_shape = 1.7;
-    sc.weibull_scale_hours = 5.0e5;
-    const Scenario back = reparse(sc);
-    EXPECT_EQ(back.failure_kind, kind);
-    EXPECT_DOUBLE_EQ(back.weibull_shape, 1.7);
-    EXPECT_DOUBLE_EQ(back.weibull_scale_hours, 5.0e5);
   }
 }
 
@@ -79,7 +64,6 @@ TEST(Scenario, ExampleScenarioParsesToPaperDefaults) {
   const Scenario sc = load_scenario(IniFile::parse_string(example_scenario()));
   EXPECT_NO_THROW(sc.validate());
   EXPECT_EQ(sc.system.dc.total_disks(), 57600u);
-  EXPECT_EQ(sc.failure_kind, FailureDistribution::Kind::kExponential);
   EXPECT_TRUE(sc.priority_repair);
 }
 
@@ -87,11 +71,6 @@ TEST(Scenario, ValidateRejectsNonsense) {
   Scenario afr = Scenario::paper_default();
   afr.system.afr = 0.0;
   EXPECT_THROW(afr.validate(), PreconditionError);
-
-  Scenario shape = Scenario::paper_default();
-  shape.failure_kind = FailureDistribution::Kind::kWeibull;
-  shape.weibull_shape = -1.0;
-  EXPECT_THROW(shape.validate(), PreconditionError);
 
   Scenario missions = Scenario::paper_default();
   missions.missions = 0;

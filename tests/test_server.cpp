@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "analysis/chaos.hpp"  // diff_estimates: the bit-identity contract
+#include "core/spec_io.hpp"
 #include "server/client.hpp"
 #include "server/service.hpp"
+#include "server/store.hpp"
 #include "util/error.hpp"
 
 namespace mlec::server {
@@ -168,6 +170,48 @@ TEST(EstimationService, DurableMemoSurvivesRestart) {
   EXPECT_TRUE(outcome.cached);
   ASSERT_TRUE(outcome.estimate.has_value());
   EXPECT_EQ(diff_estimates(*outcome.estimate, first_bits), "");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EstimationService, RunsStoredJobsInTheOlderCanonicalForm) {
+  // Ledgers written while format_scenario still carried the failure kind
+  // and the Weibull parameters hold those keys in every stored scenario. A
+  // restarted daemon warns about the retired keys and runs the job to the
+  // same bits as a fresh submission.
+  const auto dir =
+      (std::filesystem::path(::testing::TempDir()) / "mlec-server-older-ledger").string();
+  std::filesystem::remove_all(dir);
+  {
+    Store store(dir);
+    store.load();
+    StoredJob job;
+    job.id = "j-1";
+    job.client = "tester";
+    job.method = "sim";
+    job.seed = 42;
+    job.scenario_ini = format_scenario(load_scenario(IniFile::parse_string(scenario_text())));
+    job.scenario_ini.insert(job.scenario_ini.find("ure_per_bit"),
+                            "kind = exponential\nweibull_shape = 1.2\n"
+                            "weibull_scale_hours = 876600\n");
+    store.jobs.push_back(job);
+    store.next_job = 2;
+    store.save();
+  }
+  Estimate fresh;
+  {
+    EstimationService service(in_memory_config());
+    const SubmitOutcome outcome = service.submit(sim_request());
+    service.drain();
+    fresh = *service.wait(outcome.job_id).estimate;
+  }
+  ServiceConfig config = in_memory_config();
+  config.state_dir = dir;
+  EstimationService service(config);
+  service.drain();
+  const StoredJob job = service.wait("j-1");
+  ASSERT_EQ(job.state, "done");
+  ASSERT_TRUE(job.estimate.has_value());
+  EXPECT_EQ(diff_estimates(*job.estimate, fresh), "");
   std::filesystem::remove_all(dir);
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/repair_time.hpp"
+#include "core/estimator.hpp"
 #include "core/report.hpp"
 #include "util/table.hpp"
 
@@ -125,7 +128,6 @@ afr = 0.02
   EXPECT_EQ(sc.system.scheme, MlecScheme::kDD);
   EXPECT_DOUBLE_EQ(sc.system.afr, 0.02);
   EXPECT_EQ(sc.missions, Scenario{}.missions);
-  EXPECT_EQ(sc.failure_kind, FailureDistribution::Kind::kExponential);
 }
 
 TEST(SpecIo, ExampleScenarioHasNoUnknownKeys) {
@@ -189,7 +191,6 @@ TEST(SpecIo, CodeFamilyKeysRoundTripForEveryFamily) {
     const char* mlec;
   } cases[] = {
       {"rs", CodeFamily::kRs, "(4+3)/(3+1)"},
-      {"rs_wide", CodeFamily::kRsWide, "(50+10)/(3+1)"},
       {"lrc", CodeFamily::kLrc, "(4+3)/(3+1)"},
   };
   for (const auto& c : cases) {
@@ -221,6 +222,103 @@ TEST(SpecIo, BadFamilyAndLrcValuesAreDiagnosed) {
                PreconditionError);
   EXPECT_THROW(load_scenario(IniFile::parse_string("[code]\nlrc = (4+2+1)\n")),
                PreconditionError);
+}
+
+TEST(SpecIo, OnlyExponentialLifetimesLoad) {
+  SpecParsePolicy strict;
+  strict.strict = true;
+  EXPECT_NO_THROW(
+      load_scenario(IniFile::parse_string("[failures]\nkind = exponential\n"), strict));
+  // No estimator models another lifetime law, so such a file is refused
+  // rather than estimated as exponential.
+  try {
+    load_scenario(IniFile::parse_string("[failures]\nkind = weibull\n"));
+    FAIL() << "kind = weibull was accepted";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("failures.kind"), std::string::npos) << what;
+    EXPECT_NE(what.find("only exponential lifetimes"), std::string::npos) << what;
+  }
+}
+
+TEST(SpecIo, RetiredRsWideFamilyIsRefused) {
+  try {
+    load_scenario(IniFile::parse_string("[code]\nmlec = (50+10)/(3+1)\nfamily = rs_wide\n"));
+    FAIL() << "family = rs_wide was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("rs, lrc"), std::string::npos) << e.what();
+  }
+  // Plain rs serves wide stripes.
+  const auto sc = load_scenario(IniFile::parse_string("[code]\nmlec = (50+10)/(3+1)\n"));
+  EXPECT_EQ(sc.system.network_level(), LevelCode::make_rs({50, 10}));
+}
+
+/// crosscheck_mlec.ini in the canonical form format_scenario wrote while
+/// it still carried the failure kind and the Weibull parameters; the
+/// daemon's ledger stores each job's scenario in this form.
+constexpr const char* kOlderCanonicalIni = R"([scenario]
+name = crosscheck-mlec
+
+[datacenter]
+racks = 6
+enclosures_per_rack = 2
+disks_per_enclosure = 8
+disk_capacity_tb = 20
+chunk_kb = 128
+
+[bandwidth]
+disk_mbps = 200
+rack_gbps = 10
+repair_fraction = 0.2
+
+[code]
+mlec = (2+1)/(3+1)
+family = rs
+scheme = C/C
+repair = R_ALL
+
+[failures]
+afr = 0.5
+detection_hours = 0.5
+mission_hours = 8766
+kind = exponential
+weibull_shape = 1.2
+weibull_scale_hours = 876600
+ure_per_bit = 0
+
+[sim]
+priority_repair = true
+missions = 1500
+split_missions = 6000
+burst_trials = 1500
+seed = 42
+
+[bursts]
+per_year = 0
+racks = 3
+failures = 30
+)";
+
+TEST(SpecIo, OlderCanonicalFormStillLoads) {
+  std::vector<std::string> unknown;
+  SpecParsePolicy policy;
+  policy.unknown_keys = &unknown;
+  const Scenario older = load_scenario(IniFile::parse_string(kOlderCanonicalIni), policy);
+  std::sort(unknown.begin(), unknown.end());
+  EXPECT_EQ(unknown, (std::vector<std::string>{"failures.weibull_scale_hours",
+                                               "failures.weibull_shape"}));
+  SpecParsePolicy strict;
+  strict.strict = true;
+  EXPECT_THROW(load_scenario(IniFile::parse_string(kOlderCanonicalIni), strict),
+               PreconditionError);
+
+  std::string text = kOlderCanonicalIni;
+  for (const std::string line : {"weibull_shape = 1.2\n", "weibull_scale_hours = 876600\n"})
+    text.erase(text.find(line), line.size());
+  const Scenario current = load_scenario(IniFile::parse_string(text), strict);
+  EXPECT_EQ(scenario_fingerprint(older), scenario_fingerprint(current));
+  const Estimator& dp = *find_estimator("dp");
+  EXPECT_EQ(dp.estimate(older).pdl, dp.estimate(current).pdl);  // bit-equal
 }
 
 TEST(SpecIo, SeedAbove2To53RoundTripsExactly) {

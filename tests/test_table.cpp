@@ -18,12 +18,6 @@ TEST(Table, AsciiAlignsColumns) {
   EXPECT_NE(out.find("alpha"), std::string::npos);
 }
 
-TEST(Table, CsvRoundTrip) {
-  Table t({"a", "b", "c"});
-  t.add_row({"1", "2", "3"});
-  EXPECT_EQ(t.to_csv(), "a,b,c\n1,2,3\n");
-}
-
 TEST(Table, RowArityEnforced) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only one"}), PreconditionError);

@@ -10,7 +10,6 @@
 //   traffic      catastrophic-repair traffic per method (Figure 8 view)
 //   repair       repair bandwidth and times (Table 2 / Figures 6, 9)
 //   tradeoff     ~30%-overhead durability/throughput sweep (Figure 12 view)
-//   simulate N   fleet Monte Carlo over N mission-years
 //   chaos        fault-injection sweep: crash/corrupt/hang every registered
 //                fault point and verify recovery (see analysis/chaos.hpp)
 //   advise       apply the paper's §6.1 takeaways to a site profile
@@ -34,16 +33,18 @@
 // --throughput-critical.
 // Estimation flags for estimate: --method sim|split|dp|markov|all (default
 // all; comma lists accepted), --json, --tolerance-nines X, --missions N,
-// --split-missions N, --strict (unknown config keys are errors).
-// Campaign flags for estimate/simulate: --checkpoint FILE, --resume,
-// --shards N, --time-budget SECONDS, --target-rse X, --unit-budget N,
-// --seed N, --checkpoint-every N, --shard-timeout SECONDS (watchdog; 0
-// disables), --perf (print per-shard throughput and sim-core counters).
+// --split-missions N, --strict (unknown config keys are errors). The fleet
+// Monte Carlo is `estimate --method=sim --missions N`.
+// Campaign flags for estimate: --checkpoint FILE (each method journals to
+// FILE.<method>, e.g. FILE.sim), --resume, --shards N, --time-budget
+// SECONDS, --target-rse X, --unit-budget N, --seed N, --checkpoint-every N,
+// --shard-timeout SECONDS (watchdog; 0 disables), --perf (print per-shard
+// throughput and sim-core counters).
 // Robustness flags: --faults "SPEC" arms a deterministic fault-injection
 // schedule (same syntax as MLEC_FAULTS, see util/fault.hpp); --fail-fast
-// makes quarantined shards an error instead of a degraded partial estimate
-// (--degrade restores the default); chaos accepts --workdir DIR and
-// --only SUBSTR (repeatable) to scope the sweep.
+// makes quarantined shards an error instead of a degraded partial estimate;
+// chaos accepts --workdir DIR and --only SUBSTR (repeatable) to scope the
+// sweep.
 // Daemon flags: --host H --port P address mlecd (serve binds, the client
 // commands connect; --port 0 binds an ephemeral port). serve also takes
 // --state-dir DIR (durable ledger + campaign journals; empty = in-memory),
@@ -65,7 +66,6 @@
 #include "analysis/burst_pdl.hpp"
 #include "analysis/chaos.hpp"
 #include "analysis/crosscheck.hpp"
-#include "analysis/fleet_sim.hpp"
 #include "analysis/repair_time.hpp"
 #include "analysis/tradeoff.hpp"
 #include "analysis/traffic.hpp"
@@ -75,7 +75,6 @@
 #include "core/spec_io.hpp"
 #include "ec/backend.hpp"
 #include "placement/notation.hpp"
-#include "runtime/mission_campaign.hpp"
 #include "server/chaos_cases.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -91,7 +90,7 @@ using namespace mlec;
 [[noreturn]] void usage(const char* message = nullptr) {
   if (message != nullptr) std::cerr << "mlecctl: " << message << "\n\n";
   std::cerr <<
-      "usage: mlecctl <analyze|estimate|durability|burst|traffic|repair|tradeoff|simulate|\n"
+      "usage: mlecctl <analyze|estimate|durability|burst|traffic|repair|tradeoff|\n"
       "                chaos|advise|scenario|ec|\n"
       "                serve|submit|status|watch|cancel|shutdown>\n"
       "               [--config FILE] [--strict] [--code \"(kn+pn)/(kl+pl)\"] [--scheme C/D]\n"
@@ -103,7 +102,7 @@ using namespace mlec;
       "               [--checkpoint FILE] [--resume] [--shards N]\n"
       "               [--time-budget SECONDS] [--target-rse X] [--unit-budget N] [--seed N]\n"
       "               [--checkpoint-every N] [--shard-timeout SECONDS] [--faults \"SPEC\"]\n"
-      "               [--degrade|--fail-fast] [--workdir DIR] [--only SUBSTR] [--perf]\n"
+      "               [--fail-fast] [--workdir DIR] [--only SUBSTR] [--perf]\n"
       "               [--host H] [--port P] [--state-dir DIR] [--workers N] [--runners N]\n"
       "               [--client NAME] [--priority interactive|normal|batch] [--wait]\n";
   std::exit(2);
@@ -118,7 +117,7 @@ struct Options {
   bool json = false;
   double tolerance_nines = 1.0;
   bool strict = false;
-  // estimate/simulate campaign controls
+  // estimate campaign controls
   std::string checkpoint_path;
   bool resume = false;
   std::size_t shards = 0;
@@ -259,8 +258,6 @@ Options parse_options(int argc, char** argv) {
         opt.shard_timeout_s = std::stod(need_value(i));
       } else if (arg == "--faults") {
         opt.faults = need_value(i);
-      } else if (arg == "--degrade") {
-        opt.fail_fast = false;
       } else if (arg == "--fail-fast") {
         opt.fail_fast = true;
       } else if (arg == "--workdir") {
@@ -454,66 +451,6 @@ int cmd_tradeoff(const Options& opt) {
                Table::num(pt.encode_gbps, 2)});
   std::cout << t.to_ascii("~30% overhead sweep, " + to_string(opt.spec().scheme) + " with " +
                           to_string(opt.spec().repair));
-  return 0;
-}
-
-int cmd_simulate(const Options& opt) {
-  const std::uint64_t missions =
-      opt.positional.empty() ? 100 : parse_uint64(opt.positional[0], "simulate <missions>");
-  const FleetSimConfig cfg = opt.scenario.fleet_config();
-  StopSource stop_source;
-  stop_source.watch_signals();  // SIGINT/SIGTERM end the run at a batch boundary
-  if (opt.time_budget_s > 0.0) stop_source.set_deadline_after(opt.time_budget_s);
-
-  CampaignConfig campaign;
-  campaign.total_units = missions;
-  campaign.seed = opt.scenario.seed;
-  campaign.checkpoint_path = opt.checkpoint_path;
-  campaign.resume = opt.resume;
-  campaign.shards = opt.shards;
-  campaign.checkpoint_every = opt.checkpoint_every;
-  campaign.target_rse = opt.target_rse;
-  campaign.unit_budget = opt.unit_budget;
-  campaign.shard_timeout_s = opt.shard_timeout_s;
-  campaign.stop = stop_source.token();
-
-  const auto fc = run_fleet_campaign(cfg, std::move(campaign), &global_pool());
-  const auto& r = fc.summary;
-  const auto& rep = fc.report;
-
-  std::uint64_t retried = 0;
-  for (const auto& s : rep.shards)
-    if (s.attempts > 1) ++retried;
-
-  Table t({"quantity", "value"});
-  t.add_row({"missions", std::to_string(r.missions)});
-  t.add_row({"disk failures", std::to_string(r.disk_failures)});
-  t.add_row({"catastrophic pool events", std::to_string(r.catastrophic_pool_events)});
-  t.add_row({"data-loss missions", std::to_string(r.data_loss_missions)});
-  t.add_row({"PDL", Table::num(r.pdl(), 4)});
-  const auto ci = r.pdl_interval();
-  t.add_row({"PDL 95% CI", Table::num(ci.lo, 4) + " .. " + Table::num(ci.hi, 4)});
-  t.add_row({"cross-rack repair TB (total)", Table::num(r.cross_rack_tb, 2)});
-  t.add_row({"shards", std::to_string(rep.shards.size())});
-  if (rep.resumed) t.add_row({"resumed from checkpoint", "yes"});
-  if (retried > 0) t.add_row({"shards retried", std::to_string(retried)});
-  if (rep.quarantined() > 0) t.add_row({"shards quarantined", std::to_string(rep.quarantined())});
-  if (opt.target_rse > 0.0) {
-    t.add_row({"PDL relative std error", Table::num(rep.achieved_rse, 4)});
-    t.add_row({"converged (target RSE)", rep.converged ? "yes" : "no"});
-  }
-  if (rep.truncated)
-    t.add_row({"truncated", "yes (" + std::to_string(rep.units_done) + "/" +
-                                std::to_string(rep.units_requested) + " missions)"});
-  std::cout << t.to_ascii("fleet Monte Carlo, " + to_string(opt.spec().scheme) + " " +
-                          opt.spec().code.notation() + ", " + to_string(opt.spec().repair));
-  if (opt.perf)
-    print_perf("perf, fleet simulation", rep, r.missions, r.events_processed, r.rng_draws,
-               r.arena_allocations);
-  for (const auto& s : rep.shards)
-    if (s.quarantined)
-      std::cerr << "mlecctl: shard " << s.shard << " quarantined after " << s.attempts
-                << " attempts: " << s.error << '\n';
   return 0;
 }
 
@@ -787,7 +724,6 @@ int main(int argc, char** argv) {
     if (command == "traffic") return cmd_traffic(opt);
     if (command == "repair") return cmd_repair(opt);
     if (command == "tradeoff") return cmd_tradeoff(opt);
-    if (command == "simulate") return cmd_simulate(opt);
     if (command == "chaos") return cmd_chaos(opt);
     if (command == "serve") return cmd_serve(opt);
     if (command == "submit") return cmd_submit(opt);
