@@ -368,10 +368,11 @@ class MissionRunner {
   /// piecewise-constant state machine must be walked boundary by boundary.
   /// Clustered rebuilds are independent, and nothing observable happens
   /// between a pool's failures — losses, catastrophes, and window checks
-  /// all fire at failure arrivals, where advance_pool() reconstructs the
-  /// interim segments and retires the pool if it drained. Scheduling no
-  /// event at all for clustered pools removes roughly two heap events per
-  /// failure from the hot loop at identical trajectories.
+  /// all fire at failure arrivals, where advance_pool() completes the
+  /// finished rebuilds on the closed-form clock and retires the pool if it
+  /// drained. Scheduling no event at all for clustered pools removes
+  /// roughly two heap events per failure from the hot loop at identical
+  /// trajectories.
   void schedule_pool(std::uint32_t pool, double t) {
     if (ctx_.local_clustered) return;
     const LocalPoolState* state = pools_.find(pool);

@@ -9,17 +9,17 @@ namespace mlec {
 std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
   std::ostringstream os;
   os.precision(17);
-  // The version names the sim core's RNG schedule; a journal written under
-  // another one must not resume into this one. v2: batched inter-failure
-  // gaps. v3: exponential gaps from the ziggurat, not the inverse CDF.
-  os << "fleet-v3;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
+  // The version names the sim core's RNG schedule and repair clock; a
+  // journal written under another one must not resume into this one. v2:
+  // batched inter-failure gaps. v3: exponential gaps from the ziggurat, not
+  // the inverse CDF. v4: clustered rebuilds on the closed-form clock.
+  os << "fleet-v4;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
      << config.dc.disks_per_enclosure << ";disk_tb=" << config.dc.disk_capacity_tb
      << ";chunk_kb=" << config.dc.chunk_kb << ";code=" << config.code.notation()
      << ";scheme=" << to_string(config.scheme) << ";method=" << to_string(config.method)
      << ";bw=" << config.bandwidth.disk_mbps << '/' << config.bandwidth.rack_gbps << '/'
      << config.bandwidth.repair_fraction
-     // Retired Weibull kind/shape/scale as every fleet-v3 journal has them, so those resume.
-     << ";fail=0/" << config.failures.afr << "/1.2/876600"
+     << ";afr=" << config.failures.afr
      << ";detect=" << config.detection_hours << ";mission=" << config.mission_hours
      << ";priority=" << config.priority_repair << ";stop_on_loss=" << config.stop_on_loss
      << ";injected=" << config.injected_events.size();
@@ -43,8 +43,10 @@ std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
   std::ostringstream os;
   os.precision(17);
   // v2: exponential lifetimes from the ziggurat, not the inverse CDF, so
-  // v1 journals name another RNG schedule and must not resume.
-  os << "localpool-v2;code=" << config.code.k << '+' << config.code.p << ";placement="
+  // v1 journals name another RNG schedule and must not resume. v3:
+  // clustered rebuilds on the closed-form clock, with failures as the only
+  // clustered events.
+  os << "localpool-v3;code=" << config.code.k << '+' << config.code.p << ";placement="
      << (config.placement == Placement::kClustered ? 'C' : 'D') << ";disks=" << config.pool_disks
      << ";disk_tb=" << config.disk_capacity_tb << ";chunk_kb=" << config.chunk_kb
      << ";afr=" << config.afr << ";detect=" << config.detection_hours

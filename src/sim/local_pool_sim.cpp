@@ -66,9 +66,13 @@ void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
   pool_.reset();
 
   while (true) {
-    // Earliest upcoming event: failure arrival, or the pool's own next
-    // detection/completion (shared state machine).
-    const double next_event = std::min(next_fail, pool_.next_event_after(t, model_));
+    // Earliest upcoming event: a failure arrival or, in a declustered pool,
+    // the pool's own next detection or completion, whose interlocking rates
+    // the shared state machine steps through. Clustered rebuilds run on a
+    // closed-form clock, so nothing happens between arrivals.
+    const double next_event = model_.clustered
+                                  ? next_fail
+                                  : std::min(next_fail, pool_.next_event_after(t, model_));
     if (next_event >= mission_hours_) break;
     pool_.advance_to(next_event, model_, record_repair);
     t = next_event;
@@ -95,6 +99,9 @@ void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
       pool_.extend_critical_window(t, model_);
     }
   }
+  // Record the rebuilds that finish after the last event but within the
+  // mission.
+  pool_.advance_to(mission_hours_, model_, record_repair);
 }
 
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& cfg, std::uint64_t missions,

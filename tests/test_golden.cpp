@@ -96,7 +96,7 @@ TEST(Golden, PaperScaleSplit) {
       "[failures]\nafr = 0.3\n"
       "[sim]\nsplit_missions = 400000\nseed = 2023\n"));
   expect_pinned("split", sc, 8,
-                {7.3471695179489348e-11, 4.848816437038367e-11, 9.8455225988595026e-11, 400000,
+                {7.3471695179488715e-11, 4.8488164370383249e-11, 9.8455225988594173e-11, 400000,
                  2.1528});
 }
 

@@ -143,6 +143,18 @@ TEST(LocalPoolEngine, MissionByMissionEqualsSimulateLocalPool) {
   }
 }
 
+TEST(LocalPoolEngine, ClusteredPoolsStepOnlyAtFailures) {
+  // Clustered rebuilds run on a closed-form clock: the only events are the
+  // failures, each of which draws the next lifetime after the mission's
+  // first draw. The counts are the ones the event-stepped engine produced.
+  Rng rng(31);
+  const auto result = simulate_local_pool(clustered_cfg(0.9), 2000, rng);
+  EXPECT_EQ(result.events_processed, result.rng_draws - result.missions);
+  EXPECT_EQ(result.catastrophes, 258u);
+  EXPECT_EQ(result.single_disk_repair_hours.count(), 9488u);
+  EXPECT_EQ(result.rng_draws, 12760u);
+}
+
 TEST(LocalPoolSim, ConfigValidation) {
   LocalPoolSimConfig cfg;
   cfg.pool_disks = 5;  // smaller than (17+3)
