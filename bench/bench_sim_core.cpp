@@ -8,7 +8,7 @@
 //
 // A second table times stage 1 of the split estimator per mission. On
 // crosscheck_mlec's local pool it runs two ways in one process: the bare
-// simulate_local_pool loop and a 1-shard in-memory run_local_pool_campaign
+// simulate_local_pool loop and a single-worker in-memory run_local_pool_campaign
 // over the same missions. Their per-mission ratio is what the campaign path
 // adds to the engine loop; as a ratio of two timings on one host it does not
 // depend on the host's speed. On the paper's clustered (17+3) pool at AFR
@@ -104,7 +104,7 @@ ScenarioRow measure(const Scenario& sc, std::uint64_t missions, int reps) {
 }
 
 /// Stage 1 of the split estimator, per mission: the loop, and optionally
-/// the 1-shard campaign over the same missions.
+/// the single-worker campaign over the same missions.
 struct Stage1Row {
   std::string name;
   std::uint64_t missions = 0;
@@ -112,20 +112,19 @@ struct Stage1Row {
   Spread loop_us;                   ///< simulate_local_pool, per mission
   double events_per_mission = 0.0;  ///< the loop's events_processed per mission
   bool with_campaign = false;
-  Spread campaign_us;  ///< 1-shard in-memory run_local_pool_campaign, per mission
+  Spread campaign_us;  ///< single-worker in-memory run_local_pool_campaign, per mission
   double ratio = 0.0;  ///< campaign_us.min / loop_us.min
 };
 
 /// `reps` per-mission timings of the stage-1 loop on `sc`'s local pool and,
-/// `with_campaign`, of the 1-shard campaign. The two paths alternate, so a
+/// `with_campaign`, of the single-worker campaign. The two paths alternate, so a
 /// drift in host speed hits both, and a first untimed round warms both up.
 Stage1Row measure_stage1(const Scenario& sc, std::uint64_t missions, int reps,
                          bool with_campaign) {
   const LocalPoolSimConfig config = sc.local_pool_config();
-  CampaignConfig one_shard;
-  one_shard.total_units = missions;
-  one_shard.seed = sc.seed;
-  one_shard.shards = 1;
+  CampaignConfig one_worker;  // no pool: one worker runs every block
+  one_worker.total_units = missions;
+  one_worker.seed = sc.seed;
   const double per_mission_us = 1e6 / static_cast<double>(missions);
   Stage1Row row;
   std::vector<double> loop_us, campaign_us;
@@ -139,7 +138,7 @@ Stage1Row measure_stage1(const Scenario& sc, std::uint64_t missions, int reps,
     if (r > 0) loop_us.push_back(loop);
     if (!with_campaign) continue;
     start = std::chrono::steady_clock::now();
-    (void)run_local_pool_campaign(config, one_shard);
+    (void)run_local_pool_campaign(config, one_worker);
     if (r > 0) campaign_us.push_back(seconds_since(start) * per_mission_us);
   }
   row.name = sc.name;
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
                r.with_campaign ? Table::num(r.campaign_us.median, 4) : "-",
                r.with_campaign ? Table::num(r.ratio, 3) : "-"});
   std::cout << s.to_ascii("stage 1 per mission: simulate_local_pool loop and, on crosscheck-mlec,"
-                          " the 1-shard in-memory campaign")
+                          " the single-worker in-memory campaign")
             << '\n';
 
   if (!json_path.empty()) {

@@ -220,14 +220,17 @@ ChaosCaseResult run_hung_shard_case(const ChaosContext& ctx) {
     const Estimate e = ctx.sim->estimate(ctx.scenario, eo);
     std::uint32_t timeouts = 0;
     for (const auto& s : e.campaign.shards) timeouts += s.timeouts;
+    const std::string diff = diff_estimates(e, ctx.baseline);
     if (timeouts == 0) {
       result.detail = "watchdog never fired";
     } else if (e.degraded || !e.campaign.complete()) {
       result.detail = "run did not complete after the timed-out retry";
+    } else if (!diff.empty()) {
+      result.detail = "healed run not bit-identical to the baseline: " + diff;
     } else {
       result.passed = true;
       result.detail = "watchdog cancelled " + std::to_string(timeouts) +
-                      " attempt(s); retry completed the sweep";
+                      " attempt(s); retry completed the sweep bit-identical";
     }
   } catch (const std::exception& e) {
     result.detail = std::string("threw: ") + e.what();
@@ -242,13 +245,16 @@ ChaosCaseResult run_task_throw_retry_case(const ChaosContext& ctx) {
   try {
     const Estimate e = ctx.sim->estimate(ctx.scenario, ctx.base);
     const bool retried = !e.campaign.shards.empty() && e.campaign.shards[0].attempts > 1;
+    const std::string diff = diff_estimates(e, ctx.baseline);
     if (!retried) {
-      result.detail = "shard 0 never retried";
+      result.detail = "block 0 never retried";
     } else if (e.degraded || !e.campaign.complete()) {
       result.detail = "run did not complete after the retry";
+    } else if (!diff.empty()) {
+      result.detail = "healed run not bit-identical to the baseline: " + diff;
     } else {
       result.passed = true;
-      result.detail = "shard 0 retried once and the sweep completed";
+      result.detail = "block 0 retried once; the sweep completed bit-identical";
     }
   } catch (const std::exception& e) {
     result.detail = std::string("threw: ") + e.what();
@@ -257,16 +263,16 @@ ChaosCaseResult run_task_throw_retry_case(const ChaosContext& ctx) {
 }
 
 ChaosCaseResult run_degraded_case(const ChaosContext& ctx) {
-  // Three injected throws against max_attempts=3 exhaust shard 0; shard 1's
-  // later hits are spared. The estimate must come back explicitly degraded
+  // Three injected throws against max_attempts=3 exhaust block 0; later
+  // blocks' hits are spared. The estimate must come back explicitly degraded
   // with a widened interval, not abort and not silently complete.
   const std::string schedule = "pool.task.throw=throw@first=3";
   ChaosCaseResult result = make_result("throw-quarantine-degrade", schedule);
   ScopedFaults faults(schedule);
   try {
     const Estimate e = ctx.sim->estimate(ctx.scenario, ctx.base);
-    if (e.campaign.quarantined() == 0) {
-      result.detail = "no shard was quarantined";
+    if (e.campaign.quarantined == 0) {
+      result.detail = "no block was quarantined";
     } else if (!e.degraded || e.degrade_note.empty()) {
       result.detail = "quarantine was not surfaced as a degraded estimate";
     } else if (e.pdl_lo > e.pdl || e.pdl_hi < e.pdl) {
@@ -450,10 +456,9 @@ ChaosReport run_chaos(const Scenario& scenario, const ChaosOptions& options) {
   fs::create_directories(ctx.workdir);
 
   // Deterministic campaign shape: single-threaded (pool=nullptr) so fault
-  // hits land on the same shard/batch every run, with enough checkpoint
+  // hits land on the same block every run, with enough checkpoint
   // boundaries for the @hit=2 crash triggers to have something to hit.
   ctx.base.pool = nullptr;
-  ctx.base.shards = std::max<std::size_t>(1, options.shards);
   ctx.base.checkpoint_every = std::max<std::uint64_t>(1, scenario.missions / 8);
 
   ctx.baseline = ctx.sim->estimate(scenario, ctx.base);

@@ -13,10 +13,12 @@
 //                  un-faulted baseline.
 //   corrupt-*      truncate / bit-flip / de-magic a checkpoint journal left
 //                  by a partial run, then resume and require bit-identity
-//                  (damaged shards recompute their deterministic substreams).
-//   hang/throw-*   delay- and throw-injected shards must retry (watchdog
-//                  timeout or exception), then either complete cleanly or
-//                  quarantine into an explicitly degraded estimate.
+//                  (damaged blocks recompute their deterministic substreams).
+//   hang/throw-*   delay- and throw-injected blocks must retry (watchdog
+//                  timeout or exception), then either complete bit-identical
+//                  to the un-faulted baseline (the retry replays the
+//                  block's substream) or quarantine into an explicitly
+//                  degraded estimate.
 //   fallback-*     a throwing estimator must not take down `--method=all`;
 //                  DegradePolicy::kFailFast must raise DegradedError.
 //   repair-*       the byte-exact repair executor survives an injected
@@ -26,7 +28,7 @@
 // anything touches the global thread pool, so the child never forks a
 // multi-threaded process (the repair cases, which materialize stripes on
 // the pool, run last). Campaign cases run single-threaded so fault-point
-// hit ordering — and therefore which shard a trigger lands on — is
+// hit ordering — and therefore which block a trigger lands on — is
 // deterministic.
 //
 // Driven by `mlecctl chaos` and tests/test_chaos.cpp.
@@ -69,9 +71,6 @@ struct ChaosOptions {
   /// Run only the cases whose name contains one of these substrings;
   /// empty runs the full sweep (including the fault-point coverage check).
   std::vector<std::string> only;
-  /// Campaign shard count for the faulted runs (single-threaded execution
-  /// keeps hit order deterministic regardless of this).
-  std::size_t shards = 2;
   /// Extra cases run alongside the early fork-based crash cases: they may
   /// fork but must not spawn threads (fork safety — see file comment).
   std::vector<ChaosExtraCase> fork_phase;

@@ -38,7 +38,7 @@ double FleetSimResult::catastrophes_per_system_year(double mission_hours) const 
   return years > 0 ? static_cast<double>(catastrophic_pool_events) / years : 0.0;
 }
 
-/// Shared, immutable per-run constants. One instance serves every shard
+/// Shared, immutable per-run constants. One instance serves every worker
 /// engine of a campaign — the repair
 /// model's lookup tables (hypergeometric tails, per-f declustered
 /// bandwidths, critical-window lengths) are built exactly once.
@@ -186,7 +186,7 @@ struct Catastrophe {
 /// boundary is independent of the batching (checkpoint/resume bit-identity).
 constexpr std::size_t kExpBatch = 32;
 
-/// One shard's mission loop. All working storage (pool arena, event heap,
+/// One engine's mission loop. All working storage (pool arena, event heap,
 /// catastrophe list, subset-enumeration scratch, RNG batch buffer) lives on
 /// the runner and is reset — never reallocated — per mission: the steady
 /// state performs no heap traffic.

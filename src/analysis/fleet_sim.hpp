@@ -85,31 +85,32 @@ struct FleetSimResult {
 
 /// Immutable per-run constants of the fleet simulator: validated config,
 /// pool layout/indexing, failure rates, and the finalized PoolRepairModel
-/// lookup tables. Built once and shared read-only across every shard of a
-/// run (or every shard of a campaign) instead of being recomputed per
-/// engine. Opaque: the definition lives in fleet_sim.cpp.
+/// lookup tables. Built once and shared read-only across every engine of
+/// a campaign instead of being recomputed per engine. Opaque: the definition lives in fleet_sim.cpp.
 class FleetSimContext;
 
 /// Build (and validate) the shared context for `config`.
 std::shared_ptr<const FleetSimContext> make_fleet_context(const FleetSimConfig& config);
 
 /// Run `missions` independent missions, serially, on one FleetMissionEngine
-/// drawing from Rng::for_substream(seed, 0) — the stream of a 1-shard
-/// campaign. Sharded, resumable or cancellable sweeps go through
-/// run_fleet_campaign (runtime/mission_campaign.hpp).
+/// drawing from Rng::for_substream(seed, 0), like a campaign's block 0.
+/// Parallel, resumable or cancellable sweeps go through run_fleet_campaign
+/// (runtime/mission_campaign.hpp).
 FleetSimResult simulate_fleet(const FleetSimConfig& config, std::uint64_t missions,
                               std::uint64_t seed);
 
 /// One-mission-at-a-time view of the fleet simulator, exposed for the
 /// campaign runner: the engine owns the precomputed per-run constants and
-/// per-shard mutable pool state; the caller owns the Rng (so its state can
-/// be journaled between missions for bit-identical resume).
+/// its own mutable pool state; the caller owns the Rng (so a campaign
+/// worker can re-seat it on each block's substream). Apart from the
+/// arena-growth perf counter, a mission's result does not depend on the
+/// missions the engine ran before it.
 class FleetMissionEngine {
  public:
   explicit FleetMissionEngine(const FleetSimConfig& config);
-  /// Share an already-built context (campaign shards of one run should all
+  /// Share an already-built context (the workers of one campaign should all
   /// use this form so the lookup tables exist once per process, not per
-  /// shard).
+  /// worker).
   explicit FleetMissionEngine(std::shared_ptr<const FleetSimContext> context);
   ~FleetMissionEngine();
   FleetMissionEngine(FleetMissionEngine&&) noexcept;

@@ -6,7 +6,7 @@
 // the benches) can swap methods or run them all and compare:
 //
 //   sim     full-fleet Monte Carlo (analysis/fleet_sim.hpp) run through the
-//           campaign runner: checkpoint/resume, cancellation, shard retry,
+//           campaign runner: checkpoint/resume, cancellation, block retry,
 //           adaptive stopping on the PDL estimate.
 //   split   the paper's splitting methodology: Monte-Carlo stage 1 on one
 //           local pool (runtime/mission_campaign.hpp) feeding the closed-form
@@ -34,17 +34,17 @@
 
 namespace mlec {
 
-/// What a campaign-backed estimator does when shards exhaust their retry
+/// What a campaign-backed estimator does when blocks exhaust their retry
 /// attempts and are quarantined.
 enum class DegradePolicy {
-  /// Return a partial Estimate built from the surviving shards, flagged
+  /// Return a partial Estimate built from the surviving blocks, flagged
   /// `degraded` with its 95% interval widened by 1/(1 - missing fraction).
   kDegrade,
   /// Throw DegradedError instead of returning a partial answer.
   kFailFast,
 };
 
-/// Thrown under DegradePolicy::kFailFast when quarantined shards left part
+/// Thrown under DegradePolicy::kFailFast when quarantined blocks left part
 /// of the sweep uncomputed.
 class DegradedError : public std::runtime_error {
  public:
@@ -75,7 +75,7 @@ struct Estimate {
   bool truncated = false;
   bool converged = false;
   bool resumed = false;
-  /// Quarantined shards left part of the sweep uncomputed: pdl/nines come
+  /// Quarantined blocks left part of the sweep uncomputed: pdl/nines come
   /// from the surviving units and [pdl_lo, pdl_hi] has been widened by
   /// 1/(1 - missing fraction) to price in the lost coverage.
   bool degraded = false;
@@ -86,8 +86,8 @@ struct Estimate {
   std::uint64_t rng_draws = 0;         ///< RNG variates consumed
   std::uint64_t arena_allocations = 0; ///< arena growths after warm-up (sim)
   double elapsed_s = 0.0;              ///< campaign wall-clock seconds
-  /// Full campaign report — per-shard done/elapsed drives the `--perf`
-  /// trials-per-second table. Empty shards for the analytic methods.
+  /// Full campaign report — per-worker done/elapsed drives the `--perf`
+  /// trials-per-second table. No rows for the analytic methods.
   CampaignReport campaign;
 };
 
@@ -101,24 +101,24 @@ struct EstimateOptions {
   /// journal collisions.
   std::string checkpoint_path;
   bool resume = false;
-  std::size_t shards = 0;
+  std::size_t shards = 0;  ///< worker cap (see CampaignConfig::shards)
   /// Adaptive stopping target (0 disables): PDL RSE for sim, catastrophe-
   /// count RSE for split's stage 1.
   double target_rse = 0.0;
   /// Max missions this invocation (0 = unlimited).
   std::uint64_t unit_budget = 0;
-  /// Missions a shard runs between journal commits.
+  /// Largest campaign block in missions, part of the answer's identity.
   std::uint64_t checkpoint_every = 256;
   /// Shard watchdog deadline in seconds; 0 disables (see
   /// CampaignConfig::shard_timeout_s).
   double shard_timeout_s = 0.0;
-  /// Quarantined-shard policy: partial degraded Estimate vs DegradedError.
+  /// Quarantined-block policy: partial degraded Estimate vs DegradedError.
   DegradePolicy degrade = DegradePolicy::kDegrade;
   /// Per-commit progress feed from the underlying campaign (units done,
   /// current RSE); the server streams these to `watch` subscribers. Must be
-  /// thread-safe — shards invoke it concurrently.
+  /// thread-safe — workers invoke it concurrently.
   std::function<void(const CampaignProgress&)> progress;
-  /// ThreadPool dispatch lane for the campaign's shard chunks (see
+  /// ThreadPool dispatch lane for the campaign's workers (see
   /// CampaignConfig::pool_lane).
   std::size_t pool_lane = kLaneNormal;
 };

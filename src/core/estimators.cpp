@@ -51,17 +51,17 @@ void require_applicable(const Estimator& estimator, const Scenario& scenario) {
                             " estimator cannot run this scenario: " + why);
 }
 
-/// Apply the quarantined-shard policy to a campaign-backed estimate.
+/// Apply the quarantined-block policy to a campaign-backed estimate.
 /// kFailFast throws; kDegrade marks the estimate and widens its interval by
-/// 1/(1 - missing fraction) — the surviving units are an unbiased sample
-/// (shard partitions are exchangeable under the substream scheme), but the
-/// lost coverage is priced into the uncertainty instead of hidden.
+/// 1/(1 - missing fraction) — the surviving blocks are an unbiased sample
+/// (every block draws from its own substream), but the lost coverage is
+/// priced into the uncertainty instead of hidden.
 void apply_degrade_policy(Estimate& e, const CampaignReport& report, DegradePolicy policy) {
   if (!report.degraded()) return;
   const std::string account =
-      std::to_string(report.quarantined()) + " of " + std::to_string(report.shards.size()) +
-      " shards quarantined; " + std::to_string(report.units_done) + " of " +
-      std::to_string(report.units_requested) + " units computed";
+      std::to_string(report.quarantined) + " block(s) quarantined; " +
+      std::to_string(report.units_done) + " of " + std::to_string(report.units_requested) +
+      " units computed";
   if (policy == DegradePolicy::kFailFast)
     throw DegradedError(e.method + " estimate degraded: " + account);
   e.degraded = true;

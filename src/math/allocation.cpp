@@ -1,9 +1,9 @@
 #include "math/allocation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "math/combin.hpp"
 #include "util/error.hpp"
 
 namespace mlec {
@@ -16,37 +16,38 @@ BurstAllocationSampler::BurstAllocationSampler(std::size_t disks_per_rack, std::
                                                std::size_t max_failures)
     : disks_per_rack_(disks_per_rack), max_racks_(max_racks), max_failures_(max_failures) {
   MLEC_REQUIRE(disks_per_rack >= 1, "need at least one disk per rack");
-  log_w_.assign((max_racks + 1) * (max_failures + 1), kNegInf);
-  const auto d = static_cast<std::int64_t>(disks_per_rack);
-  for (std::size_t m = 0; m <= max_racks; ++m) {
-    for (std::size_t s = 0; s <= max_failures; ++s) {
-      if (m == 0) {
-        if (s == 0) log_w_[s] = 0.0;  // one way: the empty allocation
-        continue;
+  // log C(D, a) = log C(D, a-1) + log((D-a+1)/a): exact for a = 1 and free
+  // of the lgamma cancellation log_choose suffers at large D.
+  const std::size_t max_part = std::min(disks_per_rack, max_failures);
+  log_choose_.assign(max_part + 1, 0.0);
+  for (std::size_t a = 1; a <= max_part; ++a)
+    log_choose_[a] = log_choose_[a - 1] + std::log(static_cast<double>(disks_per_rack - a + 1) /
+                                                   static_cast<double>(a));
+
+  const std::size_t row = max_failures + 1;
+  log_w_.assign((max_racks + 1) * row, kNegInf);
+  log_w_[0] = 0.0;  // W(0, 0) = 1: the empty allocation
+  std::vector<double> terms;
+  for (std::size_t m = 1; m <= max_racks; ++m) {
+    const double* prev = &log_w_[(m - 1) * row];
+    const std::size_t s_max = std::min(max_failures, m * disks_per_rack);
+    for (std::size_t s = m; s <= s_max; ++s) {
+      // The first rack takes a in [max(1, s-(m-1)D), min(D, s-(m-1))]
+      // failures; the others must still fit the rest. Every term is
+      // positive, so the log-sum-exp below loses nothing to cancellation.
+      const std::size_t rest_cap = (m - 1) * disks_per_rack;
+      const std::size_t lo = s > rest_cap ? s - rest_cap : 1;
+      const std::size_t hi = std::min(disks_per_rack, s - (m - 1));
+      terms.clear();
+      double top = kNegInf;
+      for (std::size_t a = lo; a <= hi; ++a) {
+        const double term = log_choose_[a] + prev[s - a];
+        terms.push_back(term);
+        top = std::max(top, term);
       }
-      if (s < m || s > m * disks_per_rack) continue;
-      // Inclusion-exclusion over the racks that receive no failure;
-      // accumulate positive and negative terms separately in log space.
-      double pos = kNegInf, neg = kNegInf;
-      for (std::size_t j = 0; j < m; ++j) {
-        const double term = log_choose(static_cast<std::int64_t>(m), static_cast<std::int64_t>(j)) +
-                            log_choose(d * static_cast<std::int64_t>(m - j),
-                                       static_cast<std::int64_t>(s));
-        if (term == kNegInf) continue;
-        if (j % 2 == 0)
-          pos = log_add(pos, term);
-        else
-          neg = log_add(neg, term);
-      }
-      if (pos == kNegInf) continue;
-      // W = exp(pos) - exp(neg); compute log(W) stably.
-      if (neg == kNegInf) {
-        log_w_[m * (max_failures + 1) + s] = pos;
-      } else {
-        const double diff = 1.0 - std::exp(neg - pos);
-        MLEC_ASSERT(diff > -1e-9);
-        log_w_[m * (max_failures + 1) + s] = diff <= 0.0 ? kNegInf : pos + std::log(diff);
-      }
+      double sum = 0.0;
+      for (const double term : terms) sum += std::exp(term - top);
+      log_w_[m * row + s] = top + std::log(sum);
     }
   }
 }
@@ -65,7 +66,6 @@ std::vector<std::size_t> BurstAllocationSampler::sample(std::size_t racks, std::
                "failure count infeasible for this rack count");
   std::vector<std::size_t> counts(racks);
   std::size_t remaining = failures;
-  const auto d = static_cast<std::int64_t>(disks_per_rack_);
   for (std::size_t i = 0; i < racks; ++i) {
     const std::size_t left = racks - i - 1;  // racks after this one
     if (left == 0) {
@@ -82,7 +82,7 @@ std::vector<std::size_t> BurstAllocationSampler::sample(std::size_t racks, std::
     for (std::size_t a = 1; a <= a_max; ++a) {
       const double lw = log_ways(left, remaining - a);
       if (lw == kNegInf) continue;
-      const double p = std::exp(log_choose(d, static_cast<std::int64_t>(a)) + lw - log_denom);
+      const double p = std::exp(log_choose_[a] + lw - log_denom);
       cum += p;
       chosen = a;
       if (u < cum) break;

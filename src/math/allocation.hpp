@@ -6,9 +6,11 @@
 //   P(f) ∝ prod_i C(D, f_i)   over compositions with f_i >= 1, sum = y,
 // where D is disks per rack. Rejection sampling is hopeless (the all-racks-
 // hit event is exponentially rare for y ≈ x), so we sample sequentially with
-// inclusion-exclusion partition weights:
+// the partition weights
 //   W(m, s) = #ways to pick s disks from m racks with every rack hit
-//           = sum_j (-1)^j C(m, j) C(D(m-j), s).
+//           = sum_{a=1..min(D,s)} C(D, a) W(m-1, s-a),   W(0, 0) = 1,
+// positive terms summed in log space (inclusion-exclusion cancels
+// catastrophically in doubles from about 22 racks on).
 #pragma once
 
 #include <cstddef>
@@ -39,6 +41,8 @@ class BurstAllocationSampler {
   std::size_t disks_per_rack_;
   std::size_t max_racks_;
   std::size_t max_failures_;
+  // log_choose_[a] = log C(D, a) for the part sizes a rack can take
+  std::vector<double> log_choose_;
   // log_w_[m * (max_failures_+1) + s]
   std::vector<double> log_w_;
 };

@@ -76,6 +76,12 @@ const RunningStats& CampaignAccumulator::stats(std::string_view name) const {
   return slot != nullptr ? *slot : empty;
 }
 
+void CampaignAccumulator::zero() {
+  for (auto& slot : counters_) slot.second = 0;
+  for (auto& slot : scalars_) slot.second = 0.0;
+  for (auto& slot : stats_) slot.second = RunningStats{};
+}
+
 void CampaignAccumulator::merge(const CampaignAccumulator& other) {
   merge_slots(counters_, other.counters_,
               [](std::uint64_t& a, const std::uint64_t& b) { a += b; });

@@ -1,6 +1,6 @@
-// Named-slot accumulator for campaign shards.
+// Named-slot accumulator for campaign blocks.
 //
-// Monte-Carlo workloads reduce to three kinds of per-shard state: event
+// Monte-Carlo workloads reduce to three kinds of per-block state: event
 // counters, additive scalars (e.g. traffic TB), and RunningStats moments.
 // CampaignAccumulator holds all three under stable names so the campaign
 // runner can journal, restore, and merge partial results without knowing
@@ -33,7 +33,9 @@ class CampaignAccumulator {
   double scalar(std::string_view name) const;
   const RunningStats& stats(std::string_view name) const;
 
-  bool empty() const { return counters_.empty() && scalars_.empty() && stats_.empty(); }
+  /// Reset every value to zero, keeping the slot layout and every slot's
+  /// address: a campaign worker reuses one accumulator across its blocks.
+  void zero();
 
   /// Element-wise merge. Slots are matched by name; `other` must have a
   /// layout compatible with this accumulator (same names in the same order,

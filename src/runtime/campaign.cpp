@@ -7,7 +7,6 @@
 #include <limits>
 #include <thread>
 
-#include "runtime/journal.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -15,29 +14,34 @@ namespace mlec {
 
 namespace {
 
-/// Raised inside a shard attempt when its watchdog token fires; funnels
+/// Raised inside a worker attempt when its watchdog token fires; funnels
 /// into the same retry/quarantine path as workload exceptions but is
 /// counted separately (ShardOutcome::timeouts).
-class ShardTimeoutError : public std::runtime_error {
+class WorkerTimeoutError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// A campaign of at least this many units has at least this many blocks, so
+/// a short campaign of expensive missions (a few hundred paper-scale fleet
+/// missions) still spreads over the workers. It depends on the unit count
+/// alone, so answers stay host-independent.
+constexpr std::uint64_t kMinBlocks = 16;
+
+/// A worker that quarantines this many blocks in a row retires: its
+/// failures are evidently not transient, and grinding through every
+/// remaining block at max_attempts each (with backoff) would never end.
+constexpr std::uint32_t kRetireAfterQuarantines = 2;
 
 }  // namespace
 
 void CampaignConfig::validate() const {
   MLEC_REQUIRE(total_units > 0, "campaign needs at least one unit of work");
   MLEC_REQUIRE(checkpoint_every > 0, "checkpoint interval must be positive");
-  MLEC_REQUIRE(max_attempts >= 1, "at least one attempt per shard required");
+  MLEC_REQUIRE(max_attempts >= 1, "at least one attempt per block required");
   MLEC_REQUIRE(retry_backoff_ms >= 0.0, "retry backoff must be non-negative");
   MLEC_REQUIRE(shard_timeout_s >= 0.0, "shard timeout must be non-negative");
   MLEC_REQUIRE(target_rse >= 0.0, "target RSE must be non-negative");
-}
-
-std::size_t CampaignReport::quarantined() const {
-  return static_cast<std::size_t>(
-      std::count_if(shards.begin(), shards.end(),
-                    [](const ShardOutcome& s) { return s.quarantined; }));
 }
 
 double bernoulli_rse(std::uint64_t successes, std::uint64_t trials) {
@@ -46,23 +50,12 @@ double bernoulli_rse(std::uint64_t successes, std::uint64_t trials) {
   return std::sqrt((1.0 - p) / static_cast<double>(successes));
 }
 
-struct CampaignRunner::ShardState {
-  std::uint64_t assigned = 0;
-  std::uint64_t done = 0;
-  std::uint32_t attempt = 0;  ///< 0-based index of the current/last attempt
-  /// rng_state (and acc) hold a committed checkpoint of the current attempt.
-  bool has_checkpoint = false;
-  std::array<std::uint64_t, 4> rng_state{};
-  CampaignAccumulator acc;
-  bool finished = false;
-  bool quarantined = false;
-  std::string error;
-  std::uint32_t timeouts = 0;  ///< attempts cancelled by the watchdog
-  double elapsed_s = 0.0;  ///< wall time across this invocation's attempts
-  // Watchdog view of the shard (all guarded by the campaign mutex): a shard
-  // is watched only while `running`; `last_progress` is refreshed at every
-  // commit; `attempt_stop` is replaced at each attempt start so cancelling
-  // one attempt cannot leak into its retry.
+struct CampaignRunner::WorkerState {
+  ShardOutcome outcome;
+  // Watchdog view of the worker (all guarded by the campaign mutex): a
+  // worker is watched only while `running`; `last_progress` is refreshed at
+  // every block start and commit; `attempt_stop` is replaced at each attempt
+  // start so cancelling one attempt cannot leak into its retry.
   bool running = false;
   std::chrono::steady_clock::time_point last_progress{};
   StopSource attempt_stop;
@@ -72,26 +65,59 @@ CampaignRunner::CampaignRunner(CampaignConfig config, WorkerFactory factory, Rse
     : config_(std::move(config)), factory_(std::move(factory)), rse_(std::move(rse)) {
   config_.validate();
   MLEC_REQUIRE(factory_ != nullptr, "campaign needs a worker factory");
+  block_units_ = std::min(config_.checkpoint_every, block_count(config_.total_units, kMinBlocks));
 }
 
 CampaignRunner::~CampaignRunner() = default;
 
-bool CampaignRunner::should_stop() {
-  if (converged_.load(std::memory_order_relaxed)) return true;
-  if (config_.stop.stop_requested() ||
-      (config_.unit_budget > 0 &&
-       invocation_units_.load(std::memory_order_relaxed) >= config_.unit_budget)) {
-    truncated_.store(true, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+std::uint64_t CampaignRunner::block_size(std::uint64_t block) const {
+  return std::min(block_units_, config_.total_units - block * block_units_);
 }
 
-CampaignAccumulator CampaignRunner::merged_locked() const {
-  CampaignAccumulator merged;
-  for (const auto& st : states_)
-    if (!st.quarantined) merged.merge(st.acc);
-  return merged;
+std::optional<std::uint64_t> CampaignRunner::claim_locked() {
+  if (converged_.load(std::memory_order_relaxed)) return std::nullopt;
+  const std::uint64_t blocks = block_count(config_.total_units, block_units_);
+  while (next_claim_ < blocks && blocks_.contains(next_claim_)) ++next_claim_;
+  if (next_claim_ >= blocks) return std::nullopt;
+  if (config_.stop.stop_requested() ||
+      (config_.unit_budget > 0 && claimed_units_ >= config_.unit_budget)) {
+    truncated_.store(true, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  const std::uint64_t block = next_claim_++;
+  claimed_units_ += block_size(block);
+  return block;
+}
+
+void CampaignRunner::check_target_locked() {
+  if (rse_ == nullptr || config_.target_rse <= 0.0 || rse_(prefix_) > config_.target_rse)
+    return;
+  converged_.store(true, std::memory_order_relaxed);
+  // Blocks past the answer's prefix, completed or quarantined, do not count.
+  const std::uint64_t answer = prefix_blocks_;
+  std::erase_if(blocks_, [answer](const auto& entry) { return entry.first >= answer; });
+}
+
+void CampaignRunner::advance_prefix_locked() {
+  while (!converged_.load(std::memory_order_relaxed)) {
+    const auto it = blocks_.find(prefix_blocks_);
+    if (it == blocks_.end()) return;
+    if (!it->second.quarantined) {
+      prefix_.merge(it->second.acc);
+      blocks_.erase(it);
+    }
+    ++prefix_blocks_;
+    check_target_locked();
+  }
+}
+
+std::uint64_t CampaignRunner::units_done_locked() const {
+  std::uint64_t units = std::min(config_.total_units, prefix_blocks_ * block_units_);
+  for (const auto& [block, rec] : blocks_) {
+    if (!rec.quarantined) units += block_size(block);
+    if (rec.quarantined && block < prefix_blocks_) units -= block_size(block);
+  }
+  return units;
 }
 
 void CampaignRunner::write_journal_locked() {
@@ -99,21 +125,11 @@ void CampaignRunner::write_journal_locked() {
   CampaignJournal journal;
   journal.seed = config_.seed;
   journal.total_units = config_.total_units;
-  journal.shards = static_cast<std::uint32_t>(states_.size());
+  journal.block_units = block_units_;
   journal.fingerprint = fingerprint_of(config_.fingerprint);
-  journal.records.reserve(states_.size());
-  for (std::uint32_t s = 0; s < states_.size(); ++s) {
-    const auto& st = states_[s];
-    ShardRecord rec;
-    rec.shard = s;
-    rec.attempt = st.attempt;
-    rec.quarantined = st.quarantined;
-    rec.assigned = st.assigned;
-    rec.done = st.done;
-    rec.rng_state = st.rng_state;
-    rec.acc = st.acc;
-    journal.records.push_back(std::move(rec));
-  }
+  journal.prefix_blocks = prefix_blocks_;
+  journal.prefix = prefix_;
+  for (const auto& [block, rec] : blocks_) journal.records.push_back(rec);
   journal.save_file(config_.checkpoint_path);
 }
 
@@ -129,210 +145,202 @@ void CampaignRunner::restore_from_journal() {
   }
   // A *valid* journal for the wrong campaign is a user error: resuming it
   // would silently mix incompatible statistics, so these still throw.
-  MLEC_REQUIRE(loaded.seed == config_.seed, "campaign journal seed mismatch");
-  MLEC_REQUIRE(loaded.total_units == config_.total_units,
+  const CampaignJournal& journal = loaded.journal;
+  MLEC_REQUIRE(journal.seed == config_.seed, "campaign journal seed mismatch");
+  MLEC_REQUIRE(journal.total_units == config_.total_units,
                "campaign journal total-unit mismatch");
-  MLEC_REQUIRE(loaded.shards == states_.size(), "campaign journal shard-count mismatch");
-  MLEC_REQUIRE(loaded.fingerprint == fingerprint_of(config_.fingerprint),
+  MLEC_REQUIRE(journal.block_units == block_units_,
+               "campaign journal block-size mismatch");
+  MLEC_REQUIRE(journal.fingerprint == fingerprint_of(config_.fingerprint),
                "campaign journal belongs to a different workload configuration");
-  for (const auto& rec : loaded.records) {
-    MLEC_REQUIRE(rec.shard < states_.size(), "campaign journal shard id out of range");
-    auto& st = states_[rec.shard];
-    MLEC_REQUIRE(rec.assigned == st.assigned, "campaign journal shard partition mismatch");
-    st.done = rec.done;
-    st.attempt = rec.attempt;
-    st.quarantined = rec.quarantined;
-    st.acc = rec.acc;
-    st.rng_state = rec.rng_state;
-    st.has_checkpoint = rec.done > 0;
-    st.finished = rec.done == rec.assigned;
-  }
-  // Shards whose records were dropped with the damaged tail simply keep
-  // their fresh-start state and recompute their deterministic substreams.
+  prefix_ = journal.prefix;
+  prefix_blocks_ = journal.prefix_blocks;
+  for (const BlockRecord& rec : journal.records) blocks_.emplace(rec.block, rec);
+  // Blocks whose records were dropped with a damaged tail are simply
+  // recomputed from their substreams. A journal written at convergence
+  // converges again here, on the same prefix.
+  if (prefix_blocks_ > 0) check_target_locked();
+  advance_prefix_locked();
   resumed_ = true;
   resume_warning_ = loaded.warning;
 }
 
-void CampaignRunner::commit(std::uint32_t shard, const CampaignAccumulator& acc,
-                            const Rng& rng, std::uint64_t done, std::uint32_t attempt) {
+void CampaignRunner::commit(std::uint32_t worker, std::uint64_t block, std::uint32_t attempts,
+                            const CampaignAccumulator* acc) {
   MLEC_FAULT_POINT("campaign.checkpoint.pre");
   CampaignProgress snapshot;
   {
     MutexLock lock(mutex_);
-    auto& st = states_[shard];
-    invocation_units_.fetch_add(done - st.done, std::memory_order_relaxed);
-    st.acc = acc;
-    st.rng_state = rng.state();
-    st.done = done;
-    st.attempt = attempt;
-    st.has_checkpoint = true;
-    st.last_progress = std::chrono::steady_clock::now();  // watchdog heartbeat
-    write_journal_locked();
-    if (rse_ != nullptr && (config_.target_rse > 0.0 || config_.progress != nullptr)) {
-      const double rse = rse_(merged_locked());
-      if (config_.target_rse > 0.0 && rse <= config_.target_rse)
-        converged_.store(true, std::memory_order_relaxed);
-      if (std::isfinite(rse)) snapshot.achieved_rse = rse;
+    WorkerState& ws = workers_[worker];
+    ws.last_progress = std::chrono::steady_clock::now();  // watchdog heartbeat
+    // Past the answer, or already recorded by an attempt whose commit threw
+    // after recording it (a retry reproduces the same bits).
+    if (converged_.load(std::memory_order_relaxed) || block < prefix_blocks_ ||
+        blocks_.contains(block))
+      return;
+    if (acc != nullptr) ws.outcome.done += block_size(block);
+    if (acc != nullptr && block == prefix_blocks_) {
+      prefix_.merge(*acc);  // in order: fold without parking a copy
+      ++prefix_blocks_;
+      check_target_locked();
+    } else {
+      blocks_.emplace(block, BlockRecord{block, attempts, acc == nullptr,
+                                         acc != nullptr ? *acc : CampaignAccumulator{}});
     }
+    advance_prefix_locked();
+    write_journal_locked();
     if (config_.progress != nullptr) {
-      snapshot.shard = shard;
+      snapshot.shard = worker;
+      snapshot.units_done = units_done_locked();
       snapshot.units_total = config_.total_units;
-      for (const auto& s : states_) snapshot.units_done += s.done;
+      if (rse_ != nullptr) {
+        const double rse = rse_(prefix_);
+        if (std::isfinite(rse)) snapshot.achieved_rse = rse;
+      }
     }
   }
   // The callback runs outside the campaign mutex so a slow subscriber fan-
-  // out cannot stall other shards' commits.
+  // out cannot stall other workers' commits.
   if (config_.progress != nullptr) config_.progress(snapshot);
   MLEC_FAULT_POINT("campaign.checkpoint.post");
 }
 
-void CampaignRunner::backoff_before_retry(std::uint32_t shard,
+void CampaignRunner::backoff_before_retry(std::uint64_t block,
                                           std::uint32_t retry_attempt) const {
   if (config_.retry_backoff_ms <= 0.0) return;
   const double factor = std::pow(2.0, static_cast<double>(retry_attempt - 1));
-  // Jitter is drawn from seeded SplitMix64 over (seed, shard,
-  // attempt), never wall clock or rand(): retries stay reproducible
-  // run-to-run while still de-synchronizing across shards.
-  std::uint64_t jitter_state = config_.seed ^
-                               (static_cast<std::uint64_t>(shard) *
-                                0x9e3779b97f4a7c15ULL) ^
-                               retry_attempt;
+  // Jitter is drawn from seeded SplitMix64 over (seed, block, attempt),
+  // never wall clock or rand(): retries stay reproducible run-to-run while
+  // still de-synchronizing across blocks.
+  std::uint64_t jitter_state = config_.seed ^ (block * 0x9e3779b97f4a7c15ULL) ^ retry_attempt;
   const double jitter =
       0.5 + static_cast<double>(splitmix64(jitter_state) >> 11) * 0x1.0p-53;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
       config_.retry_backoff_ms * factor * jitter));
 }
 
-void CampaignRunner::run_shard(std::uint32_t shard) {
+void CampaignRunner::run_worker(std::uint32_t worker) {
   const auto started = std::chrono::steady_clock::now();
   // Charges wall time on every exit path. Declared first so its destructor
   // runs after every inner MutexLock has released (locals destroy in
   // reverse order) — it can safely take the mutex itself.
   struct Timer {
     CampaignRunner& self;
-    std::uint32_t shard;
+    std::uint32_t worker;
     std::chrono::steady_clock::time_point start;
     ~Timer() {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
       MutexLock lock(self.mutex_);
-      self.states_[shard].elapsed_s += elapsed;
+      self.workers_[worker].outcome.elapsed_s += elapsed;
     }
-  } timer{*this, shard, started};
+  } timer{*this, worker, started};
+  // One generator and one accumulator serve every block this worker runs,
+  // and one workload instance serves them until an attempt fails.
+  Rng rng = Rng::for_substream(config_.seed, 0);
+  CampaignAccumulator acc;
+  UnitRunner unit;
+  StopToken attempt_token;
+  std::optional<std::uint64_t> block;
+  std::uint32_t failures = 0;          // failed attempts of `block`
+  std::uint32_t quarantined_in_row = 0;
   for (;;) {
-    // Copy everything the attempt needs under the lock, then run on the
-    // copies: shard threads never touch ShardState unlocked.
-    std::uint64_t assigned = 0;
-    std::uint64_t done = 0;
-    std::uint32_t attempt = 0;
-    bool has_checkpoint = false;
-    std::array<std::uint64_t, 4> rng_state{};
-    CampaignAccumulator acc;
-    StopToken attempt_token;
     {
       MutexLock lock(mutex_);
-      ShardState& st = states_[shard];
-      if (st.finished || st.quarantined) return;
-      assigned = st.assigned;
-      done = st.done;
-      attempt = st.attempt;
-      has_checkpoint = st.has_checkpoint;
-      rng_state = st.rng_state;
-      acc = st.acc;
-      st.attempt_stop = StopSource{};  // fresh per attempt: no stale cancels
-      attempt_token = st.attempt_stop.token();
-      st.last_progress = std::chrono::steady_clock::now();
-      st.running = true;
+      WorkerState& ws = workers_[worker];
+      if (!block) {
+        block = claim_locked();
+        failures = 0;
+      }
+      if (!block) {
+        ws.running = false;
+        return;
+      }
+      if (unit == nullptr) {
+        ws.attempt_stop = StopSource{};  // fresh per attempt: no stale cancels
+        attempt_token = ws.attempt_stop.token();
+        ++ws.outcome.attempts;
+      }
+      ws.last_progress = std::chrono::steady_clock::now();
+      ws.running = true;
     }
-    const std::uint64_t stream =
-        static_cast<std::uint64_t>(shard) | (static_cast<std::uint64_t>(attempt) << 32);
-    Rng rng = Rng::for_substream(config_.seed, stream);
-    if (has_checkpoint) rng.set_state(rng_state);
     // Injected fault delays on this thread poll the attempt token, so the
-    // watchdog can cut a hung (delay-injected) shard loose mid-sleep.
+    // watchdog can cut a hung (delay-injected) worker loose mid-sleep.
     fault::ScopedCancellation cancel_scope(attempt_token);
     try {
-      auto worker = factory_(shard, rng);
-      MLEC_REQUIRE(worker != nullptr, "campaign worker factory returned null");
-      while (done < assigned) {
-        if (should_stop()) {  // progress up to `done` is committed
-          MutexLock lock(mutex_);
-          states_[shard].running = false;
-          return;
-        }
-        MLEC_FAULT_POINT("shard.slow");
-        if (attempt_token.stop_requested())
-          throw ShardTimeoutError("shard " + std::to_string(shard) +
-                                  " made no progress within " +
-                                  std::to_string(config_.shard_timeout_s) + "s");
-        const std::uint64_t batch = std::min(config_.checkpoint_every, assigned - done);
-        for (std::uint64_t u = 0; u < batch; ++u) {
-          MLEC_FAULT_POINT("pool.task.throw");
-          worker(acc);
-        }
-        done += batch;
-        commit(shard, acc, rng, done, attempt);
+      if (unit == nullptr) {
+        unit = factory_(worker, rng);
+        MLEC_REQUIRE(unit != nullptr, "campaign worker factory returned null");
       }
-      {
-        MutexLock lock(mutex_);
-        ShardState& st = states_[shard];
-        st.running = false;
-        st.finished = true;
+      MLEC_FAULT_POINT("shard.slow");
+      if (attempt_token.stop_requested())
+        throw WorkerTimeoutError("worker " + std::to_string(worker) +
+                                 " made no progress within " +
+                                 std::to_string(config_.shard_timeout_s) + "s");
+      // Every attempt at a block runs its own substream from the start.
+      rng = Rng::for_substream(config_.seed, *block);
+      acc.zero();
+      bool abandoned = false;
+      for (std::uint64_t left = block_size(*block); left > 0; --left) {
+        if (converged_.load(std::memory_order_relaxed)) {
+          abandoned = true;  // a finished prefix already holds the answer
+          break;
+        }
+        MLEC_FAULT_POINT("pool.task.throw");
+        unit(acc);
       }
-      return;
+      if (!abandoned) commit(worker, *block, failures + 1, &acc);
+      block.reset();
+      quarantined_in_row = 0;
     } catch (const std::exception& e) {
-      std::uint32_t retry_attempt = 0;
+      unit = nullptr;  // the retry builds a fresh workload instance
+      ++failures;
       {
         MutexLock lock(mutex_);
-        ShardState& st = states_[shard];
-        st.running = false;
-        st.error = e.what();
-        if (dynamic_cast<const ShardTimeoutError*>(&e) != nullptr) ++st.timeouts;
-        // Retry from scratch on a fresh substream: the failed attempt's
-        // partial accumulation (committed or not) is discarded so a
-        // mid-stream fault cannot bias the surviving statistics.
-        st.done = 0;
-        st.acc = CampaignAccumulator{};
-        st.has_checkpoint = false;
-        if (st.attempt + 1 >= config_.max_attempts) {
-          st.quarantined = true;
-          write_journal_locked();
-          return;
-        }
-        retry_attempt = ++st.attempt;
+        WorkerState& ws = workers_[worker];
+        ws.running = false;
+        ws.outcome.error = e.what();
+        if (dynamic_cast<const WorkerTimeoutError*>(&e) != nullptr) ++ws.outcome.timeouts;
       }
-      backoff_before_retry(shard, retry_attempt);
+      if (failures < config_.max_attempts) {
+        backoff_before_retry(*block, failures);
+        continue;
+      }
+      // Quarantined: the prefix steps over the block and the report is
+      // degraded. Its partial statistics are discarded, so a mid-block
+      // fault cannot bias what survives.
+      commit(worker, *block, failures, nullptr);
+      block.reset();
+      if (++quarantined_in_row >= kRetireAfterQuarantines) return;
     }
   }
 }
 
 std::pair<CampaignAccumulator, CampaignReport> CampaignRunner::run(ThreadPool* pool) {
   const auto run_started = std::chrono::steady_clock::now();
-  std::size_t shard_count = config_.shards;
-  if (shard_count == 0) shard_count = pool != nullptr ? pool->size() * 2 : 1;
-  shard_count = std::clamp<std::size_t>(shard_count, 1, config_.total_units);
+  std::size_t workers = pool != nullptr ? pool->size() : 1;
+  if (config_.shards > 0) workers = std::min(workers, config_.shards);
+  workers = static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      workers, 1, block_count(config_.total_units, block_units_)));
 
   {
-    // No shard threads exist yet, but partitioning and journal restore still
-    // run under the mutex: `states_` is guarded wholesale and the analysis
+    // No worker threads exist yet, but setup and journal restore still run
+    // under the mutex: the state is guarded wholesale and the analysis
     // (rightly) has no notion of "before the races start".
     MutexLock lock(mutex_);
-    states_.assign(shard_count, ShardState{});
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      const std::uint64_t lo = config_.total_units * s / shard_count;
-      const std::uint64_t hi = config_.total_units * (s + 1) / shard_count;
-      states_[s].assigned = hi - lo;
-    }
-
+    workers_.clear();
+    workers_.resize(workers);
+    for (std::uint32_t w = 0; w < workers; ++w) workers_[w].outcome.shard = w;
     if (config_.resume && !config_.checkpoint_path.empty() &&
         std::filesystem::exists(config_.checkpoint_path))
       restore_from_journal();
+    next_claim_ = prefix_blocks_;
   }
 
-  // The watchdog polls each running shard's commit heartbeat and fires the
-  // shard's per-attempt StopSource once it goes stale; the shard observes
-  // the token at its next batch boundary (or mid fault-delay) and converts
-  // it into a retryable timeout.
+  // The watchdog polls each running worker's commit heartbeat and fires the
+  // worker's per-attempt StopSource once it goes stale; the worker observes
+  // the token at its next block start (or mid fault-delay) and converts it
+  // into a retryable timeout.
   std::atomic<bool> watchdog_exit{false};
   std::thread watchdog;
   if (config_.shard_timeout_s > 0.0) {
@@ -344,24 +352,23 @@ std::pair<CampaignAccumulator, CampaignReport> CampaignRunner::run(ThreadPool* p
         std::this_thread::sleep_for(poll);
         const auto now = std::chrono::steady_clock::now();
         MutexLock lock(mutex_);
-        for (auto& st : states_) {
-          if (!st.running || st.attempt_stop.stop_requested()) continue;
-          if (now - st.last_progress > timeout) st.attempt_stop.request_stop();
+        for (auto& ws : workers_) {
+          if (!ws.running || ws.attempt_stop.stop_requested()) continue;
+          if (now - ws.last_progress > timeout) ws.attempt_stop.request_stop();
         }
       }
     });
   }
 
-  if (pool != nullptr && shard_count > 1) {
+  if (pool != nullptr && workers > 1) {
     pool->parallel_chunks(
-        0, shard_count, shard_count,
-        [&](std::size_t shard, std::size_t, std::size_t) {
-          run_shard(static_cast<std::uint32_t>(shard));
+        0, workers, workers,
+        [&](std::size_t worker, std::size_t, std::size_t) {
+          run_worker(static_cast<std::uint32_t>(worker));
         },
         StopToken{}, config_.pool_lane);
   } else {
-    for (std::size_t s = 0; s < shard_count; ++s)
-      run_shard(static_cast<std::uint32_t>(s));
+    run_worker(0);
   }
 
   if (watchdog.joinable()) {
@@ -376,27 +383,21 @@ std::pair<CampaignAccumulator, CampaignReport> CampaignRunner::run(ThreadPool* p
   report.units_requested = config_.total_units;
   report.resumed = resumed_;
   report.resume_warning = resume_warning_;
-  report.shards.reserve(shard_count);
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    const auto& st = states_[s];
-    ShardOutcome outcome;
-    outcome.shard = s;
-    outcome.attempts = st.attempt + 1;
-    outcome.assigned = st.assigned;
-    outcome.done = st.done;
-    outcome.quarantined = st.quarantined;
-    outcome.timeouts = st.timeouts;
-    outcome.error = st.error;
-    outcome.elapsed_s = st.elapsed_s;
-    report.shards.push_back(std::move(outcome));
-    report.units_done += st.done;
-  }
+  report.shards.reserve(workers_.size());
+  for (const auto& ws : workers_) report.shards.push_back(ws.outcome);
+  report.units_done = units_done_locked();
+  report.quarantined = static_cast<std::uint64_t>(std::count_if(
+      blocks_.begin(), blocks_.end(), [](const auto& entry) { return entry.second.quarantined; }));
   report.elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_started).count();
   report.converged = converged_.load();
   report.truncated = truncated_.load() && !report.converged && !report.complete();
 
-  CampaignAccumulator merged = merged_locked();
+  // The fold of completed blocks in index order: the prefix, then whatever
+  // a truncated run left beyond a gap.
+  CampaignAccumulator merged = prefix_;
+  for (const auto& [block, rec] : blocks_)
+    if (!rec.quarantined) merged.merge(rec.acc);
   if (rse_ != nullptr) {
     const double rse = rse_(merged);
     report.achieved_rse = std::isfinite(rse) ? rse : 0.0;

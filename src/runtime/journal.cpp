@@ -28,12 +28,12 @@ constexpr char kMagic[8] = {'M', 'L', 'E', 'C', 'C', 'A', 'M', 'P'};
 constexpr std::uint8_t kFlagQuarantined = 1;
 constexpr std::size_t kPreambleSize = sizeof kMagic + 4;  // magic + u32 version
 constexpr std::size_t kFrameHeaderSize = 8;               // u32 len + u32 crc
-// A shard record is the accumulator (a handful of named slots) plus fixed
-// fields — far below a megabyte. The cap exists so a corrupt length field
-// cannot drive a multi-gigabyte allocation before the CRC check runs.
+// A frame is an accumulator (a handful of named slots) plus fixed fields —
+// far below a megabyte. The cap exists so a corrupt length field cannot
+// drive a multi-gigabyte allocation before the CRC check runs.
 constexpr std::uint32_t kMaxFramePayload = 16u << 20;
-// Likewise for counts read out of (possibly hostile) headers.
-constexpr std::uint32_t kMaxPlausibleShards = 1u << 20;
+// Likewise for the record count read out of a (possibly hostile) header.
+constexpr std::uint32_t kMaxPlausibleRecords = 1u << 20;
 
 std::uint32_t peek_u32(const std::string& data, std::size_t offset) {
   std::uint32_t v = 0;
@@ -82,21 +82,20 @@ std::string header_payload(const CampaignJournal& journal) {
   std::ostringstream os(std::ios::binary);
   write_u64(os, journal.seed);
   write_u64(os, journal.total_units);
-  write_u32(os, journal.shards);
+  write_u64(os, journal.block_units);
   write_u64(os, journal.fingerprint);
+  write_u64(os, journal.prefix_blocks);
   write_u32(os, static_cast<std::uint32_t>(journal.records.size()));
+  journal.prefix.save(os);
   return std::move(os).str();
 }
 
-std::string record_payload(const ShardRecord& rec) {
+std::string record_payload(const BlockRecord& rec) {
   using namespace campaign_io;
   std::ostringstream os(std::ios::binary);
-  write_u32(os, rec.shard);
-  write_u32(os, rec.attempt);
+  write_u64(os, rec.block);
+  write_u32(os, rec.attempts);
   write_u8(os, rec.quarantined ? kFlagQuarantined : 0);
-  write_u64(os, rec.assigned);
-  write_u64(os, rec.done);
-  for (const auto word : rec.rng_state) write_u64(os, word);
   rec.acc.save(os);
   return std::move(os).str();
 }
@@ -104,38 +103,30 @@ std::string record_payload(const ShardRecord& rec) {
 /// Payload parsers reuse the campaign_io readers over an in-memory stream;
 /// a payload that runs short (CRC-valid but semantically malformed) throws
 /// PreconditionError, which recover_from_buffer() converts to a drop.
-struct HeaderFields {
-  std::uint64_t seed = 0;
-  std::uint64_t total_units = 0;
-  std::uint32_t shards = 0;
-  std::uint64_t fingerprint = 0;
-  std::uint32_t count = 0;
-};
-
-HeaderFields parse_header(const std::string& payload) {
+/// Returns the header's record count.
+std::uint32_t parse_header(const std::string& payload, CampaignJournal& journal) {
   using namespace campaign_io;
   std::istringstream in(payload, std::ios::binary);
-  HeaderFields h;
-  h.seed = read_u64(in);
-  h.total_units = read_u64(in);
-  h.shards = read_u32(in);
-  h.fingerprint = read_u64(in);
-  h.count = read_u32(in);
-  MLEC_REQUIRE(h.shards <= kMaxPlausibleShards && h.count <= kMaxPlausibleShards,
+  journal.seed = read_u64(in);
+  journal.total_units = read_u64(in);
+  journal.block_units = read_u64(in);
+  journal.fingerprint = read_u64(in);
+  journal.prefix_blocks = read_u64(in);
+  const std::uint32_t count = read_u32(in);
+  journal.prefix = CampaignAccumulator::load(in);
+  MLEC_REQUIRE(journal.block_units > 0 && count <= kMaxPlausibleRecords &&
+                   journal.prefix_blocks <= block_count(journal.total_units, journal.block_units),
                "campaign journal header implausible");
-  return h;
+  return count;
 }
 
-ShardRecord parse_record(const std::string& payload) {
+BlockRecord parse_record(const std::string& payload) {
   using namespace campaign_io;
   std::istringstream in(payload, std::ios::binary);
-  ShardRecord rec;
-  rec.shard = read_u32(in);
-  rec.attempt = read_u32(in);
+  BlockRecord rec;
+  rec.block = read_u64(in);
+  rec.attempts = read_u32(in);
   rec.quarantined = (read_u8(in) & kFlagQuarantined) != 0;
-  rec.assigned = read_u64(in);
-  rec.done = read_u64(in);
-  for (auto& word : rec.rng_state) word = read_u64(in);
   rec.acc = CampaignAccumulator::load(in);
   return rec;
 }
@@ -156,6 +147,10 @@ JournalLoadResult recover_from_buffer(const std::string& data) {
     return unusable(
         "campaign journal is format v1 (pre-checksum); v1 cannot be validated "
         "and is not migrated — delete the journal to start fresh");
+  if (version == 2)
+    return unusable(
+        "campaign journal is format v2 (per-shard RNG state); v2 is not "
+        "migrated — delete the journal to start fresh");
   if (version != kCampaignJournalVersion)
     return unusable("unsupported campaign journal version " + std::to_string(version));
 
@@ -166,49 +161,46 @@ JournalLoadResult recover_from_buffer(const std::string& data) {
     return unusable(std::string("campaign journal header unreadable: ") + why);
 
   JournalLoadResult result;
-  HeaderFields header;
+  CampaignJournal& journal = result.journal;
+  std::uint32_t count = 0;
   try {
-    header = parse_header(payload);
+    count = parse_header(payload, journal);
   } catch (const PreconditionError& e) {
     return unusable(std::string("campaign journal header malformed: ") + e.what());
   }
-  result.seed = header.seed;
-  result.total_units = header.total_units;
-  result.shards = header.shards;
-  result.fingerprint = header.fingerprint;
 
   // Per-record damage truncates: everything before the first bad frame is
   // trusted (each frame was independently CRC-verified), everything after
   // is dropped because frame boundaries can no longer be located.
-  std::vector<bool> seen(header.shards, false);
+  const std::uint64_t blocks = block_count(journal.total_units, journal.block_units);
   std::string tail_warning;
-  result.records.reserve(header.count);
-  std::size_t i = 0;
-  for (; i < header.count; ++i) {
+  journal.records.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
     if (!next_frame(data, offset, payload, why)) {
       tail_warning = why;
       break;
     }
-    ShardRecord rec;
+    BlockRecord rec;
     try {
       rec = parse_record(payload);
     } catch (const PreconditionError&) {
       tail_warning = "malformed record payload";
       break;
     }
-    if (rec.shard >= header.shards) {
-      tail_warning = "record shard id out of range";
+    if (rec.block >= blocks) {
+      tail_warning = "record block out of range";
       break;
     }
-    if (seen[rec.shard]) {
-      tail_warning = "duplicate shard record";
+    if (!journal.records.empty() && rec.block <= journal.records.back().block) {
+      tail_warning = "duplicate or unordered block record";
       break;
     }
-    seen[rec.shard] = true;
-    result.records.push_back(std::move(rec));
+    if (!rec.quarantined && rec.block < journal.prefix_blocks) {
+      tail_warning = "completed block inside the prefix";
+      break;
+    }
+    journal.records.push_back(std::move(rec));
   }
-  result.records_recovered = result.records.size();
-  result.records_dropped = header.count - i;
   if (tail_warning.empty() && offset != data.size())
     tail_warning = "trailing bytes after last record";
   if (tail_warning.empty()) {
@@ -216,9 +208,8 @@ JournalLoadResult recover_from_buffer(const std::string& data) {
   } else {
     result.status = JournalLoadResult::Status::kRecovered;
     result.warning = "campaign journal damaged (" + tail_warning + "): kept " +
-                     std::to_string(result.records_recovered) + " of " +
-                     std::to_string(header.count) +
-                     " shard records; dropped shards will be recomputed";
+                     std::to_string(journal.records.size()) + " of " + std::to_string(count) +
+                     " block records; dropped blocks will be recomputed";
   }
   return result;
 }
@@ -319,15 +310,7 @@ CampaignJournal CampaignJournal::load(std::istream& in) {
   JournalLoadResult result = recover(in);
   MLEC_REQUIRE(result.status == JournalLoadResult::Status::kOk,
                result.warning.empty() ? "campaign journal unreadable" : result.warning);
-  CampaignJournal journal;
-  journal.seed = result.seed;
-  journal.total_units = result.total_units;
-  journal.shards = result.shards;
-  journal.fingerprint = result.fingerprint;
-  journal.records = std::move(result.records);
-  MLEC_REQUIRE(journal.records.size() == journal.shards,
-               "campaign journal record count mismatch");
-  return journal;
+  return std::move(result.journal);
 }
 
 JournalLoadResult CampaignJournal::recover(std::istream& in) {

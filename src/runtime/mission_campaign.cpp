@@ -12,8 +12,9 @@ std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
   // The version names the sim core's RNG schedule and repair clock; a
   // journal written under another one must not resume into this one. v2:
   // batched inter-failure gaps. v3: exponential gaps from the ziggurat, not
-  // the inverse CDF. v4: clustered rebuilds on the closed-form clock.
-  os << "fleet-v4;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
+  // the inverse CDF. v4: clustered rebuilds on the closed-form clock. v5:
+  // block b draws from substream b, whatever worker runs it.
+  os << "fleet-v5;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
      << config.dc.disks_per_enclosure << ";disk_tb=" << config.dc.disk_capacity_tb
      << ";chunk_kb=" << config.dc.chunk_kb << ";code=" << config.code.notation()
      << ";scheme=" << to_string(config.scheme) << ";method=" << to_string(config.method)
@@ -33,7 +34,7 @@ MissionCampaignResult<FleetSimResult> run_fleet_campaign(const FleetSimConfig& c
   config.validate();
   campaign.fingerprint = fleet_campaign_fingerprint(config);
   // One immutable context (validated config + lookup tables) shared by every
-  // shard's engine; each engine keeps only its own mutable trial state.
+  // worker's engine; each engine keeps only its own mutable trial state.
   auto context = make_fleet_context(config);
   return run_mission_campaign<FleetSimResult>(
       std::move(campaign), [context] { return FleetMissionEngine(context); }, pool);
@@ -45,8 +46,9 @@ std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
   // v2: exponential lifetimes from the ziggurat, not the inverse CDF, so
   // v1 journals name another RNG schedule and must not resume. v3:
   // clustered rebuilds on the closed-form clock, with failures as the only
-  // clustered events.
-  os << "localpool-v3;code=" << config.code.k << '+' << config.code.p << ";placement="
+  // clustered events. v4: block b draws from substream b, whatever worker
+  // runs it.
+  os << "localpool-v4;code=" << config.code.k << '+' << config.code.p << ";placement="
      << (config.placement == Placement::kClustered ? 'C' : 'D') << ";disks=" << config.pool_disks
      << ";disk_tb=" << config.disk_capacity_tb << ";chunk_kb=" << config.chunk_kb
      << ";afr=" << config.afr << ";detect=" << config.detection_hours

@@ -1,20 +1,21 @@
 // One campaign template for every Monte-Carlo mission engine: the fleet
 // simulator (Strategy 1, `sim`) and the stage-1 local-pool simulator of
 // splitting (Strategy 2, `split`), with checkpoint/resume, cancellation,
-// shard fault isolation and adaptive stopping from the campaign runner.
+// block fault isolation and adaptive stopping from the campaign runner.
 //
 // A campaign summary declares its journal slots once, as an ordered list of
 // (kind, journal name, member pointer) in MissionSchema<Summary>::slots.
-// The slot binding of a shard attempt's accumulator, the summary's
+// The slot binding of a worker's accumulator, the summary's
 // reconstruction from the merged accumulator and the default per-mission
 // fold all derive from that list. The order of each kind's slots is the
 // journal layout: renaming or reordering one stops old journals resuming.
 //
-// One campaign unit = one mission. Shard s / attempt a draws from
-// Rng::for_substream(seed, s | a << 32) on one engine built per attempt;
-// with the same seed, shard count and checkpoint file, a run killed
-// mid-flight and resumed produces bit-identical statistics to an
-// uninterrupted run.
+// One campaign unit = one mission. Block b of B missions draws from
+// Rng::for_substream(seed, b) on its worker's engine, which is built once
+// per worker attempt and reused across that worker's blocks; the summary
+// is the fold of the blocks in index order, so it depends on the seed, the
+// mission count and B (plus the RSE target, when set) and on nothing else:
+// not the worker count, not thread timing, not a kill and resume.
 #pragma once
 
 #include <array>
@@ -79,12 +80,10 @@ class SlotBinding {
  public:
   static constexpr const auto& kSlots = MissionSchema<Summary>::slots;
 
-  explicit SlotBinding(CampaignAccumulator& acc) : acc_(&acc) {
+  explicit SlotBinding(CampaignAccumulator& acc) {
     for (const auto& slot : kSlots) (void)address(acc, slot);
     for (std::size_t i = 0; i < kSlots.size(); ++i) targets_[i] = address(acc, kSlots[i]);
   }
-
-  bool bound_to(const CampaignAccumulator& acc) const { return acc_ == &acc; }
 
   /// The accumulator value behind the slot that declares `Member`.
   template <auto Member>
@@ -120,7 +119,6 @@ class SlotBinding {
     throw "member has no slot in the schema";
   }
 
-  const CampaignAccumulator* acc_;
   std::array<void*, kSlots.size()> targets_{};
 };
 
@@ -142,10 +140,11 @@ struct MissionCampaignResult {
   CampaignReport report;
 };
 
-/// Run `campaign.total_units` missions. Every shard attempt builds one
+/// Run `campaign.total_units` missions. Every worker attempt builds one
 /// engine with `make_engine()`, one MissionSchema<Summary>::Mission and
-/// binds its accumulator's slots once; each mission clears that Mission,
-/// runs into it, then folds it into those slots. (Constructing a Mission
+/// binds its accumulator's slots once, for all the blocks it runs; each
+/// mission clears that Mission, runs into it, then folds it into those
+/// slots. (Constructing a Mission
 /// per mission cost a measurable share of a stage-1 mission of tens of
 /// nanoseconds: bench_sim_core's stage-1 ratio.) The caller sets the seed,
 /// the fingerprint and the execution knobs; target_rse stops on
@@ -160,7 +159,7 @@ MissionCampaignResult<Summary> run_mission_campaign(CampaignConfig campaign, Mak
     auto slots = std::make_shared<std::optional<SlotBinding<Summary>>>();
     auto one = std::make_shared<typename Schema::Mission>();
     return [engine, slots, one, &rng](CampaignAccumulator& acc) {
-      if (!*slots || !(*slots)->bound_to(acc)) slots->emplace(acc);
+      if (!*slots) slots->emplace(acc);  // the worker's one accumulator
       *one = {};
       engine->run_mission(rng, *one);
       if constexpr (std::is_same_v<typename Schema::Mission, Summary>)
@@ -218,7 +217,7 @@ struct LocalPoolSummary {
   double pool_years = 0.0;  ///< total simulated pool-time in years
   RunningStats lost_stripe_fraction;  ///< per-catastrophe lost fraction
   RunningStats unrebuilt_tb;          ///< per-catastrophe missing data
-  /// Perf counters merged from the shard simulators.
+  /// Perf counters merged from the block simulators.
   std::uint64_t events_processed = 0;
   std::uint64_t rng_draws = 0;
 

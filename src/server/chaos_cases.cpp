@@ -35,13 +35,11 @@ ChaosCaseResult make_result(const std::string& name, const std::string& faults) 
 
 /// Thread-free service configuration shared by baseline, crash, and resume
 /// runs — identical knobs are what make the estimates comparable bit for
-/// bit (shards and checkpoint cadence are part of the campaign identity).
-ServiceConfig chaos_service_config(const Scenario& scenario, const ChaosOptions& options,
-                                   const std::string& state_dir) {
+/// bit (the block size is part of the campaign identity).
+ServiceConfig chaos_service_config(const Scenario& scenario, const std::string& state_dir) {
   ServiceConfig config;
   config.state_dir = state_dir;
   config.pool = nullptr;
-  config.shards = std::max<std::size_t>(1, options.shards);
   config.checkpoint_every = std::max<std::uint64_t>(1, scenario.missions / 8);
   return config;
 }
@@ -55,9 +53,8 @@ SubmitRequest chaos_submit(const Scenario& scenario) {
 }
 
 /// Submit + drain + fetch the finished estimate on a fresh service.
-Estimate run_service_once(const Scenario& scenario, const ChaosOptions& options,
-                          const std::string& state_dir) {
-  EstimationService service(chaos_service_config(scenario, options, state_dir));
+Estimate run_service_once(const Scenario& scenario, const std::string& state_dir) {
+  EstimationService service(chaos_service_config(scenario, state_dir));
   const SubmitOutcome outcome = service.submit(chaos_submit(scenario));
   service.drain();
   const StoredJob job = service.wait(outcome.job_id);
@@ -71,13 +68,12 @@ Estimate run_service_once(const Scenario& scenario, const ChaosOptions& options,
 /// injected crash (exit 42); then restart the service on the same state
 /// dir in the parent, drain the recovered queue, and require the resumed
 /// estimate bit-identical to the uninterrupted baseline.
-ChaosCaseResult run_server_crash_case(const Scenario& scenario, const ChaosOptions& options,
-                                      const std::string& workdir, const std::string& name,
-                                      const std::string& schedule) {
+ChaosCaseResult run_server_crash_case(const Scenario& scenario, const std::string& workdir,
+                                      const std::string& name, const std::string& schedule) {
   ChaosCaseResult result = make_result(name, schedule);
   Estimate baseline;
   try {
-    baseline = run_service_once(scenario, options, workdir + "/" + name + "-baseline");
+    baseline = run_service_once(scenario, workdir + "/" + name + "-baseline");
   } catch (const std::exception& e) {
     result.detail = std::string("baseline run failed: ") + e.what();
     return result;
@@ -88,7 +84,7 @@ ChaosCaseResult run_server_crash_case(const Scenario& scenario, const ChaosOptio
   if (pid == 0) {
     try {
       fault::configure(schedule);
-      EstimationService service(chaos_service_config(scenario, options, crash_dir));
+      EstimationService service(chaos_service_config(scenario, crash_dir));
       service.submit(chaos_submit(scenario));
       service.drain();
       std::_Exit(64);  // survived: the fault never fired
@@ -107,8 +103,8 @@ ChaosCaseResult run_server_crash_case(const Scenario& scenario, const ChaosOptio
 
   try {
     // Restart: recovery re-queues the in-flight submission; the campaign
-    // journal carries the shard checkpoints.
-    EstimationService service(chaos_service_config(scenario, options, crash_dir));
+    // journal carries the committed blocks.
+    EstimationService service(chaos_service_config(scenario, crash_dir));
     service.drain();
     const Estimate* resumed = nullptr;
     for (const StoredJob& job : service.store().jobs)
@@ -142,7 +138,6 @@ struct DaemonFixture {
           ServiceConfig config;
           config.pool = nullptr;
           config.runners = 1;
-          config.shards = 1;
           return config;
         }()),
         server(service, ServerConfig{}) {
@@ -219,13 +214,13 @@ std::vector<ChaosExtraCase> fork_chaos_cases() {
   std::vector<ChaosExtraCase> cases;
 #ifndef _WIN32
   cases.push_back({"crash-server-mid-campaign",
-                   [](const Scenario& sc, const ChaosOptions& opt, const std::string& dir) {
-                     return run_server_crash_case(sc, opt, dir, "crash-server-mid-campaign",
+                   [](const Scenario& sc, const ChaosOptions&, const std::string& dir) {
+                     return run_server_crash_case(sc, dir, "crash-server-mid-campaign",
                                                   "campaign.checkpoint.post=crash@hit=2");
                    }});
   cases.push_back({"crash-server-store-save",
-                   [](const Scenario& sc, const ChaosOptions& opt, const std::string& dir) {
-                     return run_server_crash_case(sc, opt, dir, "crash-server-store-save",
+                   [](const Scenario& sc, const ChaosOptions&, const std::string& dir) {
+                     return run_server_crash_case(sc, dir, "crash-server-store-save",
                                                   "server.store.save.post=crash@hit=2");
                    }});
 #endif

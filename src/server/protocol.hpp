@@ -36,7 +36,7 @@ namespace mlec::server {
 inline constexpr std::size_t kMaxRequestBytes = 1 << 20;
 
 /// Fair-share priority classes, best first. Maps onto the ThreadPool
-/// dispatch lanes so an interactive campaign's shard chunks overtake
+/// dispatch lanes so an interactive campaign's workers overtake
 /// queued batch work inside the shared pool as well.
 enum class Priority { kInteractive = 0, kNormal = 1, kBatch = 2 };
 
@@ -45,7 +45,7 @@ const char* to_string(Priority priority);
 std::size_t lane_for(Priority priority);
 
 /// Estimate <-> JSON. Round-trips every scalar field bit-exactly; the
-/// per-shard campaign report is deliberately not carried (it is a run
+/// per-worker campaign report is deliberately not carried (it is a run
 /// artifact, not part of the answer). `nines` is recomputed from pdl on
 /// the way in because +inf (pdl == 0) has no JSON encoding.
 json::Value estimate_to_json(const Estimate& estimate);

@@ -12,7 +12,7 @@
 //
 // Preemption is decided by the service, not here: best_waiting() exposes
 // the strongest queued class so the service can stop a running lower-class
-// campaign at its next shard checkpoint (StopToken; progress is journaled)
+// campaign at its next block boundary (StopToken; progress is journaled)
 // and re-queue it. The scheduler itself is a plain value object guarded by
 // the service's mutex.
 #pragma once

@@ -204,7 +204,7 @@ bool Server::handle_request(int fd, const std::string& line) {
     }
     if (op == "watch") {
       const std::string job_id = request.str_or("job", "");
-      // Progress events arrive from shard threads while this thread blocks
+      // Progress events arrive from worker threads while this thread blocks
       // in wait(); the write mutex keeps frames whole. Terminal events are
       // sent from the ledger after wait() (not via the sink) so the stream
       // always ends with exactly one terminal line.

@@ -36,7 +36,7 @@ json::Value terminal_event(const StoredJob& job) {
 
 EstimationService::EstimationService(ServiceConfig config)
     : config_(std::move(config)), store_(config_.state_dir) {
-  MLEC_REQUIRE(config_.shards > 0, "service shard count must be positive");
+  MLEC_REQUIRE(config_.checkpoint_every > 0, "service block size must be positive");
   MutexLock lock(mutex_);
   store_.load();
   recover_locked();
@@ -49,7 +49,7 @@ void EstimationService::recover_locked() {
   for (StoredJob& job : store_.jobs) {
     if (terminal_state(job.state)) continue;
     // Queued or running when the previous process died: back to the queue.
-    // The campaign journal (if any) carries the shard checkpoints, so the
+    // The campaign journal (if any) carries the committed blocks, so the
     // resumed run completes bit-identical to an uninterrupted one.
     job.state = "queued";
     LiveJob& live = live_[job.id];

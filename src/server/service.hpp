@@ -17,7 +17,7 @@
 //     (server/scheduler.hpp); campaigns run on the shared ThreadPool in
 //     the lane matching their priority class. An interactive arrival
 //     preempts a running lower-class campaign: its StopToken fires, the
-//     campaign checkpoints and truncates at the next shard batch
+//     campaign checkpoints and truncates at the next block
 //     boundary, and the job is re-queued to resume later.
 //  5. persist — every job state transition rewrites the durable store
 //     (server/store.hpp); memo hits and joins only bump counters, which
@@ -53,17 +53,18 @@ struct ServiceConfig {
   /// Durable state directory; empty runs in-memory (no resume, no memo
   /// persistence — tests only).
   std::string state_dir;
-  /// Shard parallelism for campaigns; nullptr runs shards sequentially on
-  /// the job's runner thread (required by fork-based chaos cases).
+  /// Worker pool for campaigns; nullptr runs each campaign on the job's
+  /// runner thread alone (required by fork-based chaos cases).
   ThreadPool* pool = nullptr;
   /// Background runner threads started by start(); also the number of
   /// campaigns that can run concurrently.
   std::size_t runners = 2;
-  /// Fixed campaign shard count. Part of the journal identity — keeping it
-  /// explicit (instead of deriving from the pool) is what lets a restarted
-  /// daemon with a different worker count still resume old journals.
-  std::size_t shards = 4;
-  std::uint64_t checkpoint_every = 64;
+  /// Cap on one campaign's concurrent workers; 0 means the pool size.
+  /// Answers and journals do not depend on it.
+  std::size_t shards = 0;
+  /// Missions per campaign block, part of an answer's identity: the CLI's
+  /// default, so a submit answers what `mlecctl estimate` answers.
+  std::uint64_t checkpoint_every = 256;
 };
 
 struct SubmitRequest {
@@ -166,7 +167,7 @@ class EstimationService {
   void recover_locked() MLEC_REQUIRES(mutex_);
   void run_job(const std::string& job_id) MLEC_EXCLUDES(mutex_);
   void maybe_preempt_locked(Priority incoming) MLEC_REQUIRES(mutex_);
-  /// Excluded: the campaign calls this from shard threads outside every
+  /// Excluded: the campaign calls this from worker threads outside every
   /// lock; the sink fan-out at the end must likewise run unlocked.
   void on_progress(const std::string& job_id, const CampaignProgress& progress)
       MLEC_EXCLUDES(mutex_);

@@ -6,7 +6,7 @@
 // fsync parent), so a crash at any instant leaves either the old state or
 // the new state on disk, never a torn file. Per-job campaign checkpoints
 // live beside it as journal files (journal_base() + ".<method>"), giving a
-// restarted daemon both the job ledger and the shard-level resume points:
+// restarted daemon both the job ledger and the block-level resume points:
 // load() re-queues anything that was queued or running when the process
 // died, and the campaign runner resumes those bit-identically.
 #pragma once

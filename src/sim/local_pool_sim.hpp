@@ -90,8 +90,8 @@ struct LocalPoolSimResult {
 /// counterpart of FleetMissionEngine. Construction validates the config,
 /// finalizes the repair model and fixes the pool failure rate; every mission
 /// then reuses that physics and one LocalPoolState, so per-run work happens
-/// once per engine, never once per mission. The caller owns the Rng, so
-/// campaign shards can journal its state between missions.
+/// once per engine, never once per mission. The caller owns the Rng, so a
+/// campaign worker can re-seat it on each block's substream.
 class LocalPoolEngine {
  public:
   explicit LocalPoolEngine(const LocalPoolSimConfig& config, std::size_t max_samples = 10000);
@@ -114,7 +114,7 @@ class LocalPoolEngine {
 };
 
 /// Run `missions` independent missions on one LocalPoolEngine, serially.
-/// Sharded, resumable or cancellable runs go through run_local_pool_campaign
+/// Parallel, resumable or cancellable runs go through run_local_pool_campaign
 /// (runtime/mission_campaign.hpp).
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& config, std::uint64_t missions,
                                        Rng& rng, std::size_t max_samples = 10000);

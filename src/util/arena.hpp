@@ -1,11 +1,11 @@
-// Per-shard trial arena: dense slot storage with O(active) per-trial reset.
+// Per-engine trial arena: dense slot storage with O(active) per-trial reset.
 //
-// Monte-Carlo trial loops (one mission of the fleet simulator, one run of a
-// shard) touch a small, data-dependent subset of a large id universe (a few
+// Monte-Carlo trial loops (one mission of the fleet simulator, one block of
+// a campaign) touch a small, data-dependent subset of a large id universe (a few
 // local pools out of thousands). A hash map models that sparsity but pays
 // hashing on every lookup and node allocation on every insert — per-event
 // heap traffic in the hottest loop of the library. TrialArena keeps one
-// value slot per id, allocated once per shard, plus an explicit active list:
+// value slot per id, allocated once per engine, plus an explicit active list:
 //
 //  * find/activate/deactivate are array indexing, no hashing;
 //  * begin_trial() is O(active ids), not O(universe) and not a deallocation

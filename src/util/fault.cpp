@@ -281,7 +281,7 @@ const std::vector<PointInfo>& known_points() {
       {"journal.rename.post", "runtime/journal: after rename, before directory fsync"},
       {"campaign.checkpoint.pre", "runtime/campaign: batch done, before the commit lock"},
       {"campaign.checkpoint.post", "runtime/campaign: checkpoint committed and journaled"},
-      {"pool.task.throw", "runtime/campaign: inside a shard's per-unit work loop"},
+      {"pool.task.throw", "runtime/campaign: inside a block's per-unit work loop"},
       {"shard.slow", "runtime/campaign: at a shard batch boundary (delay target)"},
       {"estimator.sim.pre", "core/estimators: sim method entry"},
       {"estimator.split.pre", "core/estimators: split method entry"},

@@ -1,7 +1,7 @@
 // Deterministic fault injection for robustness testing.
 //
 // The estimator service must survive its own failures — a crash mid-
-// checkpoint, a hung shard, a throwing task — and the only way to *prove*
+// checkpoint, a hung worker, a throwing task — and the only way to *prove*
 // that is to inject those failures on demand, deterministically, in real
 // builds. This registry provides named fault points compiled into every
 // build (Release included) that cost one relaxed atomic load when no
@@ -35,7 +35,7 @@
 //   MLEC_FAULTS="campaign.checkpoint.post=throw@p=0.01,seed=7"
 //
 // Hit counters are global (process-wide) and per-point; with a single-
-// threaded campaign the hit order — and therefore which shard/attempt a
+// threaded campaign the hit order — and therefore which block/attempt a
 // trigger lands on — is fully deterministic. known_points() enumerates
 // every point wired into the library so the chaos harness can sweep them
 // all (see analysis/chaos.hpp).
@@ -127,8 +127,8 @@ const std::vector<PointInfo>& known_points();
 
 /// Register this thread's cancellation token for the scope: an armed
 /// `delay` action on this thread sleeps in slices, polling the token, and
-/// returns early once it fires — the hook that lets the shard watchdog cut
-/// a hung (delay-injected) shard loose. Nests; restores the previous token
+/// returns early once it fires — the hook that lets the campaign watchdog
+/// cut a hung (delay-injected) worker loose. Nests; restores the previous token
 /// on destruction.
 class ScopedCancellation {
  public:

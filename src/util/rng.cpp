@@ -36,17 +36,10 @@ Rng::result_type Rng::operator()() {
 Rng Rng::split() { return Rng((*this)() ^ 0xd1b54a32d192ed03ULL); }
 
 Rng Rng::for_substream(std::uint64_t seed, std::uint64_t stream) {
-  // Matches the historical fleet-shard derivation (splitmix of the seed,
-  // golden-ratio stream offset, one split) so existing seeds keep their
-  // trajectories.
+  // Splitmix of the seed, golden-ratio stream offset, one split: cheap
+  // enough to re-seat a campaign worker at every block.
   std::uint64_t s = seed;
   return Rng(splitmix64(s) ^ (0x9e3779b97f4a7c15ULL * (stream + 1))).split();
-}
-
-void Rng::set_state(const std::array<std::uint64_t, 4>& state) {
-  MLEC_REQUIRE(state[0] != 0 || state[1] != 0 || state[2] != 0 || state[3] != 0,
-               "all-zero xoshiro state is invalid");
-  state_ = state;
 }
 
 double Rng::uniform() {

@@ -37,20 +37,12 @@ class Rng {
   /// SplitMix64 of fresh output, adequate for embarrassingly parallel MC).
   Rng split();
 
-  /// Deterministic substream derivation for sharded campaigns: every
+  /// Deterministic substream derivation for block-parallel campaigns: every
   /// (seed, stream) pair maps to a statistically independent generator, and
-  /// the mapping is stable across runs — the basis for checkpoint/resume
-  /// reproducibility and retry-on-fresh-substream. Campaign shards use
-  /// stream = shard | attempt << 32.
+  /// the mapping is stable across runs — the basis for worker-count
+  /// independence, checkpoint/resume reproducibility and retries that
+  /// replay their block. Campaign block b uses stream = b.
   static Rng for_substream(std::uint64_t seed, std::uint64_t stream);
-
-  /// Exact generator state, exposed for checkpoint journaling.
-  std::array<std::uint64_t, 4> state() const { return state_; }
-
-  /// Restore a state captured with state(); the generator continues
-  /// bit-identically from the capture point. Rejects the all-zero state
-  /// (invalid for xoshiro).
-  void set_state(const std::array<std::uint64_t, 4>& state);
 
   /// Uniform double in [0, 1).
   double uniform();

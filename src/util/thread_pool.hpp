@@ -8,8 +8,8 @@
 // batch). Workers always drain lower-numbered lanes first, so an interactive
 // campaign's chunks overtake queued batch chunks at every dispatch point.
 // Lanes are a dispatch-order policy only — a running task is never
-// interrupted; preemption of long campaigns happens cooperatively at shard
-// batch boundaries via StopToken (see the server's fair-share scheduler).
+// interrupted; preemption of long campaigns happens cooperatively at block
+// boundaries via StopToken (see the server's fair-share scheduler).
 #pragma once
 
 #include <array>

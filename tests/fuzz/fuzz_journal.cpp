@@ -4,7 +4,8 @@
 // behind, so this surface is adversarial by construction):
 //   * CampaignJournal::recover never throws on arbitrary bytes — it returns
 //     a typed JournalLoadResult, and any usable() result contains only
-//     fully CRC-verified records with in-range, duplicate-free shard ids.
+//     fully CRC-verified records in strictly increasing, in-range block
+//     order, with no completed block inside the folded prefix.
 //   * CampaignJournal::load (the strict path) either parses or raises
 //     mlec::PreconditionError. Crashes, sanitizer reports, bad_alloc from
 //     attacker-controlled lengths, or any other exception escaping is a bug.
@@ -13,7 +14,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "runtime/journal.hpp"
 #include "util/error.hpp"
@@ -32,28 +32,28 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const mlec::JournalLoadResult result = mlec::CampaignJournal::recover(in);
   if (!result.usable()) return 0;
 
-  // Every surviving record must respect the header's shard universe, and
-  // shard ids must be unique (the campaign indexes its state by shard).
-  std::vector<bool> seen(result.shards, false);
-  for (const auto& rec : result.records) {
-    if (rec.shard >= result.shards || seen[rec.shard]) __builtin_trap();
-    seen[rec.shard] = true;
+  // Every surviving record must lie inside the header's block universe, in
+  // increasing order (the campaign keys its state by block), and only a
+  // quarantined block may sit inside the prefix.
+  const mlec::CampaignJournal& journal = result.journal;
+  if (journal.block_units == 0) __builtin_trap();
+  const std::uint64_t blocks = mlec::block_count(journal.total_units, journal.block_units);
+  if (journal.prefix_blocks > blocks) __builtin_trap();
+  for (std::size_t i = 0; i < journal.records.size(); ++i) {
+    const auto& rec = journal.records[i];
+    if (rec.block >= blocks) __builtin_trap();
+    if (i > 0 && rec.block <= journal.records[i - 1].block) __builtin_trap();
+    if (!rec.quarantined && rec.block < journal.prefix_blocks) __builtin_trap();
   }
 
-  // Round-trip: rebuild a journal from the recovered state; it must
-  // serialize to bytes that recover cleanly with nothing dropped.
-  mlec::CampaignJournal journal;
-  journal.seed = result.seed;
-  journal.total_units = result.total_units;
-  journal.shards = result.shards;
-  journal.fingerprint = result.fingerprint;
-  journal.records = result.records;
+  // Round-trip: re-serialize the recovered journal; it must recover
+  // cleanly with nothing dropped.
   std::ostringstream out;
   journal.save(out);
   std::istringstream again(out.str());
   const mlec::JournalLoadResult reread = mlec::CampaignJournal::recover(again);
   if (reread.status != mlec::JournalLoadResult::Status::kOk ||
-      reread.records.size() != result.records.size())
+      reread.journal.records.size() != journal.records.size())
     __builtin_trap();
   return 0;
 }

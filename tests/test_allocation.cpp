@@ -35,6 +35,41 @@ TEST(Allocation, WaysMatchBruteForce) {
   }
 }
 
+TEST(Allocation, TableIsExactWhereInclusionExclusionCancels) {
+  // The inclusion-exclusion closed form cancels catastrophically from
+  // about 22 racks on (it marked W(23, 23) at D = 960 infeasible); the
+  // positive-term recurrence must keep every feasible cell finite and pin
+  // the cells with a closed form: W(m, m) = D^m (one failure per rack) and
+  // W(m, mD) = 1 (every disk fails).
+  for (std::size_t D : {3, 20, 960}) {
+    const BurstAllocationSampler sampler(D, 60, 100);
+    for (std::size_t m = 1; m <= 60; ++m) {
+      for (std::size_t s = 0; s <= 100; ++s) {
+        const double lw = sampler.log_ways(m, s);
+        const bool feasible = s >= m && s <= m * D;
+        EXPECT_EQ(std::isfinite(lw), feasible) << "D=" << D << " m=" << m << " s=" << s;
+      }
+      const double all_single = static_cast<double>(m) * std::log(static_cast<double>(D));
+      EXPECT_NEAR(sampler.log_ways(m, m), all_single, 1e-12 * all_single)
+          << "D=" << D << " m=" << m;
+      if (m * D <= 100) {
+        EXPECT_NEAR(sampler.log_ways(m, m * D), 0.0, 1e-12) << "D=" << D;
+      }
+    }
+  }
+  // Small D and m against brute-force enumeration, including the cells
+  // far from either edge.
+  for (std::size_t D : {1, 2, 3, 5}) {
+    const BurstAllocationSampler sampler(D, 7, 7 * D);
+    for (std::size_t m = 1; m <= 7; ++m)
+      for (std::size_t s = m; s <= m * D; ++s) {
+        const double expected = std::log(brute_ways(D, m, s));
+        EXPECT_NEAR(sampler.log_ways(m, s), expected, 1e-12 * std::max(1.0, expected))
+            << "D=" << D << " m=" << m << " s=" << s;
+      }
+  }
+}
+
 TEST(Allocation, InfeasibleIsMinusInfinity) {
   const BurstAllocationSampler sampler(4, 3, 16);
   EXPECT_TRUE(std::isinf(sampler.log_ways(3, 2)));   // fewer failures than racks

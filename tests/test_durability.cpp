@@ -39,20 +39,27 @@ TEST(LocalPoolStats, FromSimulation) {
   cfg.pool_disks = 6;
   cfg.afr = 0.9;
   cfg.disk_capacity_tb = 60.0;
-  // Stage 1 from a one-shard campaign, which runs simulate_local_pool's
-  // missions on Rng::for_substream(seed, 0).
+  // Stage 1 from a campaign of 16 blocks of 125 missions, block b running
+  // simulate_local_pool's missions on Rng::for_substream(seed, b).
   CampaignConfig campaign;
   campaign.total_units = 2000;
   campaign.seed = 3;
-  campaign.shards = 1;
   const auto stats = run_local_pool_campaign(cfg, campaign).summary.stats();
-  Rng rng = Rng::for_substream(3, 0);
-  const auto sim = simulate_local_pool(cfg, 2000, rng);
-  ASSERT_FALSE(sim.samples.empty());
-  double lost = 0.0;
-  for (const auto& s : sim.samples) lost += s.lost_stripe_fraction;
-  EXPECT_NEAR(stats.cat_rate_per_pool_year, sim.catastrophe_rate_per_year(), 1e-12);
-  EXPECT_NEAR(stats.lost_stripe_fraction, lost / static_cast<double>(sim.samples.size()), 1e-12);
+  std::uint64_t catastrophes = 0;
+  double pool_years = 0.0, lost = 0.0;
+  std::size_t samples = 0;
+  for (std::uint64_t b = 0; b < 16; ++b) {
+    Rng rng = Rng::for_substream(3, b);
+    const auto sim = simulate_local_pool(cfg, 125, rng);
+    catastrophes += sim.catastrophes;
+    pool_years += sim.pool_years;
+    for (const auto& s : sim.samples) lost += s.lost_stripe_fraction;
+    samples += sim.samples.size();
+  }
+  ASSERT_GT(samples, 0u);
+  EXPECT_NEAR(stats.cat_rate_per_pool_year, static_cast<double>(catastrophes) / pool_years,
+              1e-12);
+  EXPECT_NEAR(stats.lost_stripe_fraction, lost / static_cast<double>(samples), 1e-12);
   EXPECT_GT(stats.lost_stripe_fraction, 0.0);
 }
 

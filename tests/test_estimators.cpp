@@ -165,7 +165,7 @@ TEST(Estimators, SimKillAndResumeIsBitIdentical) {
   const Scenario sc = hot_scenario();
 
   EstimateOptions uninterrupted;
-  uninterrupted.shards = 4;
+  uninterrupted.checkpoint_every = 8;  // 8 blocks, so half the budget stops early
   const Estimate full = find_estimator("sim")->estimate(sc, uninterrupted);
 
   EstimateOptions first_half = uninterrupted;
@@ -214,15 +214,14 @@ TEST(Estimators, SplitKillAndResumeIsBitIdentical) {
 }
 
 TEST(Estimators, CampaignKnobsReachTheCampaign) {
-  // checkpoint_every sets the batch at which the unit budget is checked:
-  // with the default 256 the one shard would run 256 missions, not 8.
+  // checkpoint_every sets the block size, and the unit budget claims whole
+  // blocks: with the default 256 the run would take 256 missions, not 8.
   const std::string path = std::string(MLEC_SCENARIO_DIR) + "/crosscheck_mlec.ini";
   std::ifstream in(path);
   ASSERT_TRUE(in) << "cannot open " << path;
   Scenario sc = load_scenario(IniFile::parse(in));
   sc.missions = sc.split_missions = 1000;
   EstimateOptions options;
-  options.shards = 1;
   options.checkpoint_every = 8;
   options.unit_budget = 8;
   for (const char* method : {"sim", "split"}) {

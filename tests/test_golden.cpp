@@ -1,7 +1,8 @@
 // Golden pins for the campaign-backed estimators: the exact bits of `split`
-// and `sim` at fixed mission counts (no target RSE, fixed shard counts) on
+// and `sim` at fixed mission counts (no target RSE, default block size) on
 // the bundled cross-check scenarios, and of `split` on the paper's
-// 57,600-disk topology. A change that claims to keep every estimate
+// 57,600-disk topology. Each pin holds on a pool of one thread and of four:
+// the answer does not depend on the worker count. A change that claims to keep every estimate
 // bit-identical must pass these unchanged; a change that moves them on
 // purpose (new physics, a new RNG schedule) updates the pins in the same
 // commit and says why. On a mismatch the test prints the actual pin.
@@ -16,6 +17,7 @@
 #include "core/spec_io.hpp"
 #include "util/error.hpp"
 #include "util/ini.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mlec {
 namespace {
@@ -35,19 +37,22 @@ std::string as_pin(const Estimate& e) {
   return buf;
 }
 
-void expect_pinned(const char* method, const Scenario& scenario, std::size_t shards,
-                   const Pin& pin) {
-  SCOPED_TRACE(std::string(method) + " on " + scenario.name);
-  EstimateOptions options;
-  options.shards = shards;
-  const Estimate e = find_estimator(method)->estimate(scenario, options);
-  ASSERT_FALSE(e.truncated);
-  const std::string actual = "actual pin: " + as_pin(e);
-  EXPECT_EQ(e.pdl, pin.pdl) << actual;
-  EXPECT_EQ(e.pdl_lo, pin.pdl_lo) << actual;
-  EXPECT_EQ(e.pdl_hi, pin.pdl_hi) << actual;
-  EXPECT_EQ(e.samples, pin.samples) << actual;
-  EXPECT_EQ(e.cat_rate_per_year, pin.cat_rate_per_year) << actual;
+void expect_pinned(const char* method, const Scenario& scenario, const Pin& pin) {
+  for (std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(std::string(method) + " on " + scenario.name + ", " +
+                 std::to_string(threads) + " thread(s)");
+    ThreadPool pool(threads);
+    EstimateOptions options;
+    options.pool = &pool;
+    const Estimate e = find_estimator(method)->estimate(scenario, options);
+    ASSERT_FALSE(e.truncated);
+    const std::string actual = "actual pin: " + as_pin(e);
+    EXPECT_EQ(e.pdl, pin.pdl) << actual;
+    EXPECT_EQ(e.pdl_lo, pin.pdl_lo) << actual;
+    EXPECT_EQ(e.pdl_hi, pin.pdl_hi) << actual;
+    EXPECT_EQ(e.samples, pin.samples) << actual;
+    EXPECT_EQ(e.cat_rate_per_year, pin.cat_rate_per_year) << actual;
+  }
 }
 
 Scenario bundled(const std::string& file) {
@@ -59,30 +64,31 @@ Scenario bundled(const std::string& file) {
 
 TEST(Golden, CrosscheckSlec) {
   const Scenario sc = bundled("crosscheck_slec.ini");
-  expect_pinned("split", sc, 4,
-                {0.38039101339723025, 0.34104224727881594, 0.41973977951564456, 6000,
-                 0.47866666666666668});
-  expect_pinned("sim", sc, 4,
-                {0.37, 0.3323095381855391, 0.40934450410395085, 600, 0.37});
+  expect_pinned("split", sc,
+                {0.37956431707335081, 0.34024626815500397, 0.41888236599169765, 6000,
+                 0.47733333333333333});
+  expect_pinned("sim", sc,
+                {0.40333333333333332, 0.36481574231221692, 0.44308085323637814, 600,
+                 0.40333333333333332});
 }
 
 TEST(Golden, CrosscheckMlec) {
   const Scenario sc = bundled("crosscheck_mlec.ini");
-  expect_pinned("split", sc, 4,
-                {0.0027158316636529006, 0.0021539644208089337, 0.0032776989064968675, 6000,
-                 1.4359999999999999});
-  expect_pinned("sim", sc, 4,
-                {0.0033333333333333335, 0.0014246155145931816, 0.0077794523740475734, 1500,
-                 1.4633333333333334});
+  expect_pinned("split", sc,
+                {0.0027007787458968365, 0.0021412459022007724, 0.0032603115895929002, 6000,
+                 1.4319999999999999});
+  expect_pinned("sim", sc,
+                {0.0046666666666666671, 0.002262354069113231, 0.0096015686708331854, 1500,
+                 1.4533333333333334});
 }
 
 TEST(Golden, CrosscheckLrc) {
   const Scenario sc = bundled("crosscheck_lrc.ini");
-  expect_pinned("split", sc, 4,
-                {2.2542330630016853e-05, 1.5546795526786996e-05, 2.953786573324671e-05, 6000,
-                 1.6753333333333333});
-  expect_pinned("sim", sc, 4,
-                {0, 0, 0.0025544307603765975, 1500, 1.7086666666666666});
+  expect_pinned("split", sc,
+                {2.2355044665369292e-05, 1.5407947426339625e-05, 2.9302141904398959e-05, 6000,
+                 1.6706666666666667});
+  expect_pinned("sim", sc,
+                {0, 0, 0.0025544307603765975, 1500, 1.6719999999999999});
 }
 
 TEST(Golden, PaperScaleSplit) {
@@ -95,9 +101,9 @@ TEST(Golden, PaperScaleSplit) {
       "[code]\nmlec = (10+2)/(17+3)\nscheme = C/C\nrepair = R_MIN\n"
       "[failures]\nafr = 0.3\n"
       "[sim]\nsplit_missions = 400000\nseed = 2023\n"));
-  expect_pinned("split", sc, 8,
-                {7.3471695179488715e-11, 4.8488164370383249e-11, 9.8455225988594173e-11, 400000,
-                 2.1528});
+  expect_pinned("split", sc,
+                {5.9788510570600031e-11, 3.9144784634626643e-11, 8.0432236506573419e-11, 400000,
+                 2.0880000000000001});
 }
 
 }  // namespace

@@ -149,28 +149,12 @@ TEST(Rng, ShufflePreservesElements) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(Rng, StateRoundTripReplaysSequence) {
-  Rng rng(99);
-  rng.uniform();  // advance off the seed
-  const auto saved = rng.state();
-  std::vector<double> first;
-  for (int i = 0; i < 8; ++i) first.push_back(rng.uniform());
-  Rng replay(1);
-  replay.set_state(saved);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(replay.uniform(), first[i]);
-}
-
-TEST(Rng, SetStateRejectsAllZero) {
-  Rng rng(1);
-  EXPECT_THROW(rng.set_state({0, 0, 0, 0}), PreconditionError);
-}
-
 TEST(Rng, UniformFillIsBitIdenticalToSingleDraws) {
   Rng fill_rng(123), single_rng(123);
   std::array<double, 257> filled{};  // odd size: no block-boundary luck
   fill_rng.uniform_fill(filled);
   for (double v : filled) EXPECT_EQ(v, single_rng.uniform());
-  EXPECT_EQ(fill_rng.state(), single_rng.state());
+  EXPECT_EQ(fill_rng(), single_rng());
 }
 
 TEST(Rng, ExponentialFillIsBitIdenticalToSingleDraws) {
@@ -179,7 +163,7 @@ TEST(Rng, ExponentialFillIsBitIdenticalToSingleDraws) {
   std::array<double, 100> filled{};
   fill_rng.exponential_fill(filled, rate);
   for (double v : filled) EXPECT_EQ(v, single_rng.exponential(rate));
-  EXPECT_EQ(fill_rng.state(), single_rng.state());
+  EXPECT_EQ(fill_rng(), single_rng());
 }
 
 TEST(Rng, ExponentialFillMomentsMatchTheory) {
@@ -226,10 +210,10 @@ TEST(Rng, ExponentialFillRejectsNonPositiveRate) {
 
 TEST(Rng, EmptyFillsLeaveStateUntouched) {
   Rng rng(9);
-  const auto before = rng.state();
+  Rng before = rng;
   rng.uniform_fill({});
   rng.exponential_fill({}, 1.0);
-  EXPECT_EQ(rng.state(), before);
+  EXPECT_EQ(rng(), before());
 }
 
 TEST(Rng, SubstreamsAreDeterministicAndDistinct) {
@@ -273,7 +257,7 @@ TEST(RngZiggurat, RateScalesTheUnitDraw) {
   for (double rate : {1.0, 0.25, 3.0, 1e-6, 8760.0}) {
     for (int i = 0; i < 2000; ++i) EXPECT_EQ(scaled.exponential(rate), unit.exponential(1.0) / rate);
   }
-  EXPECT_EQ(unit.state(), scaled.state());
+  EXPECT_EQ(unit(), scaled());
 }
 
 TEST(RngZiggurat, KolmogorovSmirnovAgainstExp1) {

@@ -18,6 +18,8 @@
 #include "server/service.hpp"
 #include "server/store.hpp"
 #include "util/error.hpp"
+#include "util/ini.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mlec::server {
 namespace {
@@ -148,6 +150,33 @@ TEST(EstimationService, RejectsBadSubmissions) {
   SubmitRequest bad_scenario = sim_request();
   bad_scenario.scenario_ini += "[sim]\nunknown_key = 1\n";
   EXPECT_THROW(service.submit(bad_scenario), std::exception);  // strict parse
+}
+
+TEST(EstimationService, AnswersWhatTheCliAnswers) {
+  // A default-configured daemon on a four-thread pool returns the bits the
+  // estimator returns with default options and no pool: the block size is
+  // the library default, and the worker count never enters the answer.
+  ThreadPool pool(4);
+  ServiceConfig config;
+  config.pool = &pool;
+  EstimationService service(config);
+  std::string text = scenario_text();
+  text.replace(text.find("missions = 120"), 14, "missions = 1000");
+  Scenario scenario = load_scenario(IniFile::parse_string(text));
+  for (const char* method : {"sim", "split"}) {
+    SCOPED_TRACE(method);
+    SubmitRequest request = sim_request();
+    request.scenario_ini = text;
+    request.method = method;
+    const SubmitOutcome outcome = service.submit(request);
+    service.drain();
+    const StoredJob job = service.wait(outcome.job_id);
+    ASSERT_EQ(job.state, "done");
+    ASSERT_TRUE(job.estimate.has_value());
+    const Estimate cli = find_estimator(method)->estimate(scenario);
+    EXPECT_GT(cli.samples, 256u);  // more than one block
+    EXPECT_EQ(diff_estimates(*job.estimate, cli), "");
+  }
 }
 
 TEST(EstimationService, DurableMemoSurvivesRestart) {

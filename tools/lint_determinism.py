@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Project-specific determinism lints that clang-tidy cannot express.
 
-The simulators promise bit-identical results for a given (seed, shard count)
-— checkpoints resume into the exact RNG stream, and the cross-method
-estimator comparisons rely on reproducible Monte-Carlo statistics. A handful
-of C++ constructs silently break that promise without failing any test on
-the machine that introduced them. This linter bans them at review time:
+The simulators promise bit-identical results for a given (seed, block size)
+on any worker count — every block replays its own RNG substream, and the
+cross-method estimator comparisons rely on reproducible Monte-Carlo
+statistics. A handful of C++ constructs silently break that promise without
+failing any test on the machine that introduced them. This linter bans them
+at review time:
 
   rand            std::rand / srand / std::random_device inside the
                   simulation stack. All randomness must flow from util/rng
@@ -35,7 +36,7 @@ the machine that introduced them. This linter bans them at review time:
                   read — steady_clock included — on a line that computes
                   retry backoff or jitter, in src/{sim,analysis,runtime,util}.
                   Retry timing must derive from the campaign seed
-                  (splitmix64 over (seed, shard, attempt)) so a resumed run
+                  (splitmix64 over (seed, block, attempt)) so a resumed run
                   retries on the same schedule and fault-injection sweeps
                   replay bit-identically; clock-derived jitter silently
                   breaks both.
@@ -223,7 +224,7 @@ def lint_file(path: Path, rel: str, findings: list[Finding]) -> None:
             report(lineno, "jitter",
                    "backoff/jitter computed from un-seeded randomness or a clock; "
                    "derive it from the campaign seed (splitmix64 over "
-                   "(seed, shard, attempt)) so resumed runs retry identically")
+                   "(seed, block, attempt)) so resumed runs retry identically")
         if in_src:
             if RAW_SYNC_RE.search(line):
                 report(lineno, "raw-sync",

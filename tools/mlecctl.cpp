@@ -36,23 +36,25 @@
 // --split-missions N, --strict (unknown config keys are errors). The fleet
 // Monte Carlo is `estimate --method=sim --missions N`.
 // Campaign flags for estimate: --checkpoint FILE (each method journals to
-// FILE.<method>, e.g. FILE.sim), --resume, --shards N, --time-budget
-// SECONDS, --target-rse X, --unit-budget N, --seed N, --checkpoint-every N,
-// --shard-timeout SECONDS (watchdog; 0 disables), --perf (print per-shard
-// throughput and sim-core counters).
+// FILE.<method>, e.g. FILE.sim), --resume, --time-budget SECONDS,
+// --target-rse X, --unit-budget N, --seed N, --checkpoint-every N (largest
+// block of missions, the unit of randomness), --shard-timeout SECONDS
+// (watchdog; 0 disables), --perf (print per-worker throughput and sim-core
+// counters). Campaign workers follow MLEC_THREADS (else the hardware); the
+// answer does not depend on them.
 // Robustness flags: --faults "SPEC" arms a deterministic fault-injection
 // schedule (same syntax as MLEC_FAULTS, see util/fault.hpp); --fail-fast
-// makes quarantined shards an error instead of a degraded partial estimate;
+// makes quarantined blocks an error instead of a degraded partial estimate;
 // chaos accepts --workdir DIR and --only SUBSTR (repeatable) to scope the
 // sweep.
 // Daemon flags: --host H --port P address mlecd (serve binds, the client
 // commands connect; --port 0 binds an ephemeral port). serve also takes
 // --state-dir DIR (durable ledger + campaign journals; empty = in-memory),
 // --workers N (estimation pool size; 0 honors MLEC_THREADS, else hardware),
-// --runners N (concurrent campaigns), --shards / --checkpoint-every /
-// --target-rse (campaign defaults). submit takes --client NAME,
-// --priority interactive|normal|batch, --method M, --wait (block for the
-// estimate), and --json for the raw response.
+// --runners N (concurrent campaigns), --checkpoint-every (campaign
+// default). submit takes --client NAME, --priority
+// interactive|normal|batch, --method M, --wait (block for the estimate),
+// and --json for the raw response.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -99,7 +101,7 @@ using namespace mlec;
       "               [--bursts] [--devops] [--nines N] [--throughput-critical]\n"
       "               [--method sim|split|dp|markov|all] [--json] [--tolerance-nines X]\n"
       "               [--missions N] [--split-missions N]\n"
-      "               [--checkpoint FILE] [--resume] [--shards N]\n"
+      "               [--checkpoint FILE] [--resume]\n"
       "               [--time-budget SECONDS] [--target-rse X] [--unit-budget N] [--seed N]\n"
       "               [--checkpoint-every N] [--shard-timeout SECONDS] [--faults \"SPEC\"]\n"
       "               [--fail-fast] [--workdir DIR] [--only SUBSTR] [--perf]\n"
@@ -120,18 +122,17 @@ struct Options {
   // estimate campaign controls
   std::string checkpoint_path;
   bool resume = false;
-  std::size_t shards = 0;
   double time_budget_s = 0.0;
   double target_rse = 0.0;
   std::uint64_t unit_budget = 0;
   std::uint64_t checkpoint_every = 256;
   double shard_timeout_s = 0.0;  ///< watchdog deadline; 0 disables
-  bool fail_fast = false;        ///< quarantined shards error out vs degrade
+  bool fail_fast = false;        ///< quarantined blocks error out vs degrade
   std::string faults;            ///< MLEC_FAULTS-syntax schedule from --faults
   // chaos controls
   std::string chaos_workdir;
   std::vector<std::string> chaos_only;
-  bool perf = false;  ///< print per-shard throughput + sim-core counters
+  bool perf = false;  ///< print per-worker throughput + sim-core counters
   // daemon controls (serve binds host:port, the client commands connect)
   std::string host = "127.0.0.1";
   int port = 7033;
@@ -244,8 +245,6 @@ Options parse_options(int argc, char** argv) {
         opt.checkpoint_path = need_value(i);
       } else if (arg == "--resume") {
         opt.resume = true;
-      } else if (arg == "--shards") {
-        opt.shards = need_uint64(i);
       } else if (arg == "--time-budget") {
         opt.time_budget_s = std::stod(need_value(i));
       } else if (arg == "--target-rse") {
@@ -304,11 +303,11 @@ int cmd_analyze(const Options& opt) {
   return 0;
 }
 
-/// Per-shard throughput plus the sim-core counters for one campaign-backed
+/// Per-worker throughput plus the sim-core counters for one campaign-backed
 /// run (`--perf`).
 void print_perf(const std::string& title, const CampaignReport& rep, std::uint64_t trials,
                 std::uint64_t events, std::uint64_t rng_draws, std::uint64_t arena_allocs) {
-  Table t({"shard", "trials", "elapsed_s", "trials/s"});
+  Table t({"worker", "trials", "elapsed_s", "trials/s"});
   for (const auto& s : rep.shards)
     t.add_row({std::to_string(s.shard), std::to_string(s.done), Table::num(s.elapsed_s, 3),
                s.elapsed_s > 0.0
@@ -325,7 +324,7 @@ void print_perf(const std::string& title, const CampaignReport& rep, std::uint64
 
 int cmd_estimate(const Options& opt) {
   StopSource stop_source;
-  stop_source.watch_signals();  // SIGINT/SIGTERM end campaigns at a batch boundary
+  stop_source.watch_signals();  // SIGINT/SIGTERM end campaigns at a block boundary
   if (opt.time_budget_s > 0.0) stop_source.set_deadline_after(opt.time_budget_s);
 
   CrosscheckOptions cc;
@@ -335,7 +334,6 @@ int cmd_estimate(const Options& opt) {
   cc.estimate.stop = stop_source.token();
   cc.estimate.checkpoint_path = opt.checkpoint_path;
   cc.estimate.resume = opt.resume;
-  cc.estimate.shards = opt.shards;
   cc.estimate.target_rse = opt.target_rse;
   cc.estimate.unit_budget = opt.unit_budget;
   cc.estimate.checkpoint_every = opt.checkpoint_every;
@@ -458,7 +456,6 @@ int cmd_chaos(const Options& opt) {
   ChaosOptions chaos;
   chaos.workdir = opt.chaos_workdir;
   chaos.only = opt.chaos_only;
-  if (opt.shards > 0) chaos.shards = opt.shards;
   // The daemon's cases plug into the sweep here: analysis cannot link the
   // server, but the coverage check still demands its fault points fire.
   chaos.fork_phase = server::fork_chaos_cases();
@@ -487,7 +484,6 @@ int cmd_serve(const Options& opt) {
   config.state_dir = opt.state_dir;
   config.pool = &pool;
   config.runners = opt.runners;
-  if (opt.shards > 0) config.shards = opt.shards;
   config.checkpoint_every = opt.checkpoint_every;
 
   server::EstimationService service(config);
@@ -495,8 +491,7 @@ int cmd_serve(const Options& opt) {
   service.start();
   daemon.start();
   std::cout << "mlecd: " << pool.size() << " pool workers (" << source << "), "
-            << opt.runners << " campaign runners, " << config.shards
-            << " shards per campaign\n"
+            << opt.runners << " campaign runners\n"
             << "mlecd: state "
             << (opt.state_dir.empty() ? std::string("in-memory (no resume)")
                                       : "dir " + opt.state_dir)
