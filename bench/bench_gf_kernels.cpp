@@ -47,25 +47,11 @@ std::vector<byte_t> pattern_buffer(std::size_t len, unsigned salt = 0) {
 
 // --- google-benchmark registrations -----------------------------------------
 
-void BM_MulAccFullTable(benchmark::State& state) {
-  const std::size_t len = static_cast<std::size_t>(state.range(0));
-  const auto src = pattern_buffer(len);
-  std::vector<byte_t> dst(len);
-  const auto table = mlec::gf::make_full_table(0x57);
-  for (auto _ : state) {
-    mlec::gf::mul_acc(table, src, dst);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len));
-}
-BENCHMARK(BM_MulAccFullTable)->Arg(4 << 10)->Arg(128 << 10)->Arg(1 << 20);
-
 void BM_EcMulAcc(benchmark::State& state, mlec::ec::Backend backend) {
   const std::size_t len = static_cast<std::size_t>(state.range(0));
   const auto src = pattern_buffer(len);
   std::vector<byte_t> dst(len);
-  const auto table = mlec::ec::make_mul_table(0x57);
+  const auto table = mlec::gf::make_mul_table(0x57);
   const auto& k = mlec::ec::kernels_for(backend);
   for (auto _ : state) {
     k.mul_acc(table, src.data(), dst.data(), len);
@@ -177,7 +163,7 @@ int run_json_sweep(const std::string& path) {
     for (std::size_t len : sizes) {
       const auto src = pattern_buffer(len);
       std::vector<byte_t> dst(len);
-      const auto table = mlec::ec::make_mul_table(0x57);
+      const auto table = mlec::gf::make_mul_table(0x57);
       for (const char* name : {"mul_acc", "mul_assign"}) {
         const bool acc = std::strcmp(name, "mul_acc") == 0;
         const double gbps = measure_gbps(len, [&] {

@@ -7,7 +7,6 @@
 
 #include "math/allocation.hpp"
 #include "math/combin.hpp"
-#include "math/distribution.hpp"
 #include "placement/lrc.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -446,6 +445,7 @@ double BurstPdlEngine::lrc_cell(const LrcCode& code, std::size_t racks,
 
   double pdl_sum = 0.0;
   std::vector<double> u_all(dc.racks, 0.0);
+  std::vector<double> chunk_loss(width);
   for (std::size_t trial = 0; trial < config_.trials_per_cell; ++trial) {
     const auto counts = alloc.sample(racks, failures, rng);
     const auto rack_ids = rng.sample_without_replacement(dc.racks, racks);
@@ -457,25 +457,8 @@ double BurstPdlEngine::lrc_cell(const LrcCode& code, std::size_t racks,
     for (std::size_t a = 0; a < placements; ++a) {
       const auto chunk_racks = rng.sample_without_replacement(dc.racks, width);
       // Residual erasures after local-group absorption must exceed r.
-      DiscreteDist residual = DiscreteDist::delta(0);
-      for (std::size_t g = 0; g < code.l; ++g) {
-        std::vector<double> probs;
-        for (std::size_t c = 0; c < width; ++c)
-          if (shape.group(c) == g) probs.push_back(u_all[chunk_racks[c]]);
-        auto pmf = poisson_binomial_pmf(probs);
-        // Deficiency max(f-1, 0): fold one failure into the local parity.
-        std::vector<double> def(pmf.size() > 1 ? pmf.size() - 1 : 1, 0.0);
-        def[0] = pmf[0] + (pmf.size() > 1 ? pmf[1] : 0.0);
-        for (std::size_t f = 2; f < pmf.size(); ++f) def[f - 1] = pmf[f];
-        residual = residual.convolve(DiscreteDist(std::move(def)), code.r + 1);
-      }
-      std::vector<double> gprobs;
-      for (std::size_t c = 0; c < width; ++c)
-        if (shape.role(c) == LrcChunkRole::kGlobalParity) gprobs.push_back(u_all[chunk_racks[c]]);
-      residual = residual.convolve(
-          DiscreteDist(poisson_binomial_pmf(gprobs, static_cast<std::int64_t>(code.r + 1))),
-          code.r + 1);
-      ps_sum += residual.tail_geq(code.r + 1);
+      for (std::size_t c = 0; c < width; ++c) chunk_loss[c] = u_all[chunk_racks[c]];
+      ps_sum += shape.residual_distribution(chunk_loss).tail_geq(code.r + 1);
     }
     pdl_sum += saturating_loss(ps_sum / static_cast<double>(placements), stripes_total);
   }

@@ -118,7 +118,7 @@ std::string CrosscheckReport::table() const {
 
 std::string CrosscheckReport::json() const {
   std::ostringstream os;
-  os.precision(12);
+  os.precision(std::numeric_limits<double>::max_digits10);
   os << "{\n  \"scenario\": ";
   json_string(os, scenario.name);
   os << ",\n  \"code\": ";

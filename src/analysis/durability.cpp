@@ -378,21 +378,10 @@ SimpleDurability lrc_durability(const DurabilityEnv& env, const LrcCode& code) {
   // Risk-class census at f concurrent failures: stripes whose failure
   // pattern has residual exactly f-1 under the maximally-recoverable
   // criterion, i.e. stripes on the fastest path to unrecoverability.
+  const LrcStripeShape shape(code);
   auto residual_census = [&](std::size_t f, std::size_t residual_target) {
     const double u = static_cast<double>(f) / static_cast<double>(n);
-    DiscreteDist residual = DiscreteDist::delta(0);
-    for (std::size_t g = 0; g < code.l; ++g) {
-      const std::vector<double> probs(code.group_width(), u);
-      auto pmf = poisson_binomial_pmf(probs);
-      std::vector<double> def(pmf.size() - 1, 0.0);
-      def[0] = pmf[0] + pmf[1];
-      for (std::size_t k = 2; k < pmf.size(); ++k) def[k - 1] = pmf[k];
-      residual = residual.convolve(DiscreteDist(std::move(def)), code.r + 1);
-    }
-    const std::vector<double> gprobs(code.r, u);
-    residual = residual.convolve(
-        DiscreteDist(poisson_binomial_pmf(gprobs, static_cast<std::int64_t>(code.r + 1))),
-        code.r + 1);
+    const DiscreteDist residual = shape.residual_distribution(std::vector<double>(w, u));
     double mass = residual.pmf(residual_target);
     // Residual 0 includes untouched stripes; the risk class needs a failure.
     if (residual_target == 0)

@@ -182,8 +182,10 @@ struct Catastrophe {
 };
 
 /// Per-mission inter-failure gaps are drawn this many at a time; leftovers
-/// are discarded at mission end so the Rng's journaled state at any mission
-/// boundary is independent of the batching (checkpoint/resume bit-identity).
+/// are discarded at mission end. A worker's engine runs every block the
+/// worker claims, each block on its own substream, so a carried-over gap
+/// would leak one block's draws into the next and tie the answer to which
+/// worker ran which block.
 constexpr std::size_t kExpBatch = 32;
 
 /// One engine's mission loop. All working storage (pool arena, event heap,

@@ -4,32 +4,12 @@
 
 namespace mlec::ec {
 
-byte_t mul_slow(byte_t a, byte_t b) {
-  unsigned acc = 0;
-  unsigned aa = a;
-  for (unsigned bb = b; bb != 0; bb >>= 1) {
-    if (bb & 1) acc ^= aa;
-    aa <<= 1;
-    if (aa & 0x100) aa ^= 0x11d;
-  }
-  return static_cast<byte_t>(acc);
-}
-
-MulTable make_mul_table(byte_t c) {
-  MulTable table{};
-  for (unsigned n = 0; n < 16; ++n) {
-    table.lo[n] = mul_slow(c, static_cast<byte_t>(n));
-    table.hi[n] = mul_slow(c, static_cast<byte_t>(n << 4));
-  }
-  return table;
-}
-
 EncodePlan::EncodePlan(std::size_t rows, std::size_t cols,
                        std::span<const byte_t> coefficients)
     : rows_(rows), cols_(cols), coeffs_(coefficients.begin(), coefficients.end()) {
   MLEC_REQUIRE(coefficients.size() == rows * cols, "coefficient matrix size mismatch");
   tables_.reserve(rows * cols);
-  for (const byte_t c : coeffs_) tables_.push_back(make_mul_table(c));
+  for (const byte_t c : coeffs_) tables_.push_back(gf::make_mul_table(c));
 }
 
 void encode(const EncodePlan& plan, const byte_t* const* src, byte_t* const* dst, std::size_t len,

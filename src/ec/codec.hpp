@@ -20,8 +20,8 @@ class EncodePlan {
  public:
   EncodePlan() = default;
 
-  /// Compile a row-major rows x cols coefficient matrix (over the 0x11d
-  /// field, same as gf::mul) into nibble tables.
+  /// Compile a row-major rows x cols coefficient matrix into
+  /// gf::make_mul_table nibble tables.
   EncodePlan(std::size_t rows, std::size_t cols, std::span<const byte_t> coefficients);
 
   std::size_t rows() const { return rows_; }
@@ -46,15 +46,5 @@ void encode(const EncodePlan& plan, std::span<const std::span<const byte_t>> src
 /// all cols source and rows destination buffers are `len` bytes.
 void encode(const EncodePlan& plan, const byte_t* const* src, byte_t* const* dst, std::size_t len,
             bool accumulate = false);
-
-/// GF(256) product over the 0x11d polynomial by shift/reduce. Table-free so
-/// plan compilation needs no link against the gf log/exp tables; agreement
-/// with gf::mul is asserted by tests. Plan-build cost only — never on the
-/// data path.
-byte_t mul_slow(byte_t a, byte_t b);
-
-/// Split-nibble tables for constant `c`; same contents as
-/// gf::make_mul_table(c).
-MulTable make_mul_table(byte_t c);
 
 }  // namespace mlec::ec

@@ -1,8 +1,6 @@
 #include "ec/decode.hpp"
 
-#include <array>
-#include <memory>
-#include <utility>
+#include <algorithm>
 
 #include "util/error.hpp"
 
@@ -10,67 +8,78 @@ namespace mlec::ec {
 
 namespace {
 
-/// Plan-build field arithmetic: a lazily built full 256x256 product table
-/// over mul_slow (64 KB, once per process) so Gauss-Jordan elimination is
-/// lookup-speed without linking the gf log/exp tables.
-const std::array<std::array<byte_t, 256>, 256>& mul_table() {
-  static const auto table = [] {
-    auto t = std::make_unique<std::array<std::array<byte_t, 256>, 256>>();
-    for (unsigned a = 0; a < 256; ++a)
-      for (unsigned b = 0; b < 256; ++b)
-        (*t)[a][b] = mul_slow(static_cast<byte_t>(a), static_cast<byte_t>(b));
-    return t;
-  }();
-  return *table;
+/// row ^= f * other over k symbols.
+void add_scaled(byte_t* row, byte_t f, const byte_t* other, std::size_t k) {
+  for (std::size_t c = 0; c < k; ++c) row[c] = gf::add(row[c], gf::mul(f, other[c]));
 }
 
-inline byte_t fmul(byte_t a, byte_t b) { return mul_table()[a][b]; }
-
-byte_t finv(byte_t a) {
-  MLEC_ASSERT(a != 0, "zero has no inverse");
-  const auto& row = mul_table()[a];
-  for (unsigned b = 1; b < 256; ++b)
-    if (row[b] == 1) return static_cast<byte_t>(b);
-  MLEC_ASSERT(false, "GF(256) element without inverse");
-  return 0;
-}
-
-/// Invert a k x k row-major matrix in place via Gauss-Jordan; the caller
-/// guarantees the rows are linearly independent (greedy selection), so a
-/// missing pivot is an internal error.
-std::vector<byte_t> invert(std::vector<byte_t> m, std::size_t k) {
-  std::vector<byte_t> inv(k * k, 0);
-  for (std::size_t i = 0; i < k; ++i) inv[i * k + i] = 1;
-  for (std::size_t col = 0; col < k; ++col) {
-    std::size_t pivot = col;
-    while (pivot < k && m[pivot * k + col] == 0) ++pivot;
-    MLEC_ASSERT(pivot < k, "chosen survivor rows must be invertible");
-    if (pivot != col) {
-      for (std::size_t j = 0; j < k; ++j) {
-        std::swap(m[pivot * k + j], m[col * k + j]);
-        std::swap(inv[pivot * k + j], inv[col * k + j]);
-      }
-    }
-    const byte_t scale = finv(m[col * k + col]);
-    for (std::size_t j = 0; j < k; ++j) {
-      m[col * k + j] = fmul(scale, m[col * k + j]);
-      inv[col * k + j] = fmul(scale, inv[col * k + j]);
-    }
-    for (std::size_t row = 0; row < k; ++row) {
-      if (row == col) continue;
-      const byte_t factor = m[row * k + col];
-      if (factor == 0) continue;
-      for (std::size_t j = 0; j < k; ++j) {
-        m[row * k + j] = static_cast<byte_t>(m[row * k + j] ^ fmul(factor, m[col * k + j]));
-        inv[row * k + j] =
-            static_cast<byte_t>(inv[row * k + j] ^ fmul(factor, inv[col * k + j]));
-      }
-    }
-  }
-  return inv;
+void scale(byte_t* row, byte_t f, std::size_t k) {
+  for (std::size_t c = 0; c < k; ++c) row[c] = gf::mul(f, row[c]);
 }
 
 }  // namespace
+
+std::vector<std::size_t> independent_rows(std::size_t k, std::span<const byte_t> generator,
+                                          std::span<const std::size_t> candidates,
+                                          std::vector<byte_t>* inverse) {
+  // Kept row i is reduced to a 1 at pivots[i] and a 0 at every earlier
+  // pivot; combo row i holds it as a combination of the kept generator rows
+  // (tracked only when the inverse is wanted).
+  std::vector<std::size_t> kept;
+  std::vector<std::size_t> pivots;
+  std::vector<byte_t> reduced;
+  std::vector<byte_t> combo;
+  kept.reserve(k);
+  reduced.reserve(k * k);
+  for (const std::size_t row : candidates) {
+    if (kept.size() == k) break;
+    const std::size_t i = kept.size();
+    reduced.insert(reduced.end(), generator.begin() + static_cast<std::ptrdiff_t>(row * k),
+                   generator.begin() + static_cast<std::ptrdiff_t>((row + 1) * k));
+    byte_t* v = reduced.data() + i * k;
+    byte_t* a = nullptr;
+    if (inverse != nullptr) {
+      combo.resize((i + 1) * k, 0);
+      a = combo.data() + i * k;
+      a[i] = 1;
+    }
+    for (std::size_t r = 0; r < i; ++r) {
+      const byte_t f = v[pivots[r]];
+      if (f == 0) continue;
+      add_scaled(v, f, reduced.data() + r * k, k);
+      if (a != nullptr) add_scaled(a, f, combo.data() + r * k, k);
+    }
+    std::size_t pivot = 0;
+    while (pivot < k && v[pivot] == 0) ++pivot;
+    if (pivot == k) {  // dependent on the rows already kept
+      reduced.resize(i * k);
+      if (a != nullptr) combo.resize(i * k);
+      continue;
+    }
+    const byte_t s = gf::inv(v[pivot]);
+    scale(v, s, k);
+    if (a != nullptr) scale(a, s, k);
+    kept.push_back(row);
+    pivots.push_back(pivot);
+  }
+  if (inverse != nullptr && kept.size() == k) {
+    // Back-substitute from the last row up until kept row i is the unit
+    // row e_{pivots[i]}; then combo * S = P for the permutation P, so row
+    // pivots[i] of S^-1 is combo row i.
+    for (std::size_t i = k; i-- > 0;)
+      for (std::size_t j = i + 1; j < k; ++j) {
+        const byte_t f = reduced[i * k + pivots[j]];
+        if (f == 0) continue;
+        add_scaled(reduced.data() + i * k, f, reduced.data() + j * k, k);
+        add_scaled(combo.data() + i * k, f, combo.data() + j * k, k);
+      }
+    inverse->assign(k * k, 0);
+    for (std::size_t i = 0; i < k; ++i)
+      std::copy_n(combo.begin() + static_cast<std::ptrdiff_t>(i * k), k,
+                  inverse->begin() + static_cast<std::ptrdiff_t>(pivots[i] * k));
+  }
+  return kept;
+}
 
 DecodePlan::DecodePlan(std::size_t n, std::size_t k, std::span<const byte_t> generator,
                        std::span<const std::size_t> erased)
@@ -92,50 +101,25 @@ DecodePlan::DecodePlan(std::size_t n, std::size_t k, std::span<const byte_t> gen
   }
   if (erased.empty()) return;
 
-  // Greedily keep survivor rows (stripe order) that grow the GF(256) rank.
-  // Intact data rows are identity rows and always kept first, so for MDS
-  // codes this degenerates to "the first k survivors"; for LRC it walks
-  // past locally dependent parity rows.
-  std::vector<std::vector<byte_t>> reduced;  // kept rows, leading 1 at pivot
-  std::vector<std::size_t> pivots;
-  survivors_.reserve(k);
-  for (std::size_t row = 0; row < n && survivors_.size() < k; ++row) {
-    if (is_lost[row]) continue;
-    std::vector<byte_t> v(generator.begin() + static_cast<std::ptrdiff_t>(row * k),
-                          generator.begin() + static_cast<std::ptrdiff_t>((row + 1) * k));
-    for (std::size_t r = 0; r < reduced.size(); ++r) {
-      const byte_t factor = v[pivots[r]];
-      if (factor == 0) continue;
-      for (std::size_t c = 0; c < k; ++c)
-        v[c] = static_cast<byte_t>(v[c] ^ fmul(factor, reduced[r][c]));
-    }
-    std::size_t pivot = k;
-    for (std::size_t c = 0; c < k; ++c)
-      if (v[c] != 0) {
-        pivot = c;
-        break;
-      }
-    if (pivot == k) continue;  // dependent on the rows already kept
-    const byte_t scale = finv(v[pivot]);
-    for (std::size_t c = 0; c < k; ++c) v[c] = fmul(scale, v[c]);
-    survivors_.push_back(row);
-    reduced.push_back(std::move(v));
-    pivots.push_back(pivot);
-  }
+  // Stripe-order survivors: intact data rows are identity rows and always
+  // kept first, so for MDS codes this is "the first k survivors"; for LRC
+  // the walk passes over locally dependent parity rows.
+  std::vector<std::size_t> candidates;
+  for (std::size_t row = 0; row < n; ++row)
+    if (!is_lost[row]) candidates.push_back(row);
+  std::vector<byte_t> inv;
+  survivors_ = independent_rows(k, generator, candidates, lost_data_.empty() ? nullptr : &inv);
   if (survivors_.size() < k) {
     viable_ = false;
     return;
   }
 
   if (!lost_data_.empty()) {
-    std::vector<byte_t> sub(k * k);
-    for (std::size_t r = 0; r < k; ++r)
-      for (std::size_t c = 0; c < k; ++c) sub[r * k + c] = generator[survivors_[r] * k + c];
-    const std::vector<byte_t> inv = invert(std::move(sub), k);
     // Lost data symbol d = sum_r inv[d][r] * shard[survivors[r]].
     std::vector<byte_t> coeffs(lost_data_.size() * k);
     for (std::size_t r = 0; r < lost_data_.size(); ++r)
-      for (std::size_t c = 0; c < k; ++c) coeffs[r * k + c] = inv[lost_data_[r] * k + c];
+      std::copy_n(inv.begin() + static_cast<std::ptrdiff_t>(lost_data_[r] * k), k,
+                  coeffs.begin() + static_cast<std::ptrdiff_t>(r * k));
     data_plan_ = EncodePlan(lost_data_.size(), k, coeffs);
   }
 
@@ -146,6 +130,24 @@ DecodePlan::DecodePlan(std::size_t n, std::size_t k, std::span<const byte_t> gen
       for (std::size_t c = 0; c < k; ++c) coeffs[r * k + c] = generator[lost_parity_[r] * k + c];
     parity_plan_ = EncodePlan(lost_parity_.size(), k, coeffs);
   }
+}
+
+std::shared_ptr<const DecodePlan> DecodePlanCache::get(
+    std::span<const std::size_t> erased) const {
+  std::vector<std::size_t> key(erased.begin(), erased.end());
+  std::sort(key.begin(), key.end());
+  {
+    const MutexLock lock(mutex_);
+    if (auto it = plans_.find(key); it != plans_.end()) return it->second;
+  }
+  auto plan = std::make_shared<const DecodePlan>(n_, k_, generator_, key);
+  const MutexLock lock(mutex_);
+  return plans_.emplace(std::move(key), std::move(plan)).first->second;
+}
+
+std::size_t DecodePlanCache::size() const {
+  const MutexLock lock(mutex_);
+  return plans_.size();
 }
 
 void decode(const DecodePlan& plan, byte_t* const* shards, std::size_t len) {

@@ -1,5 +1,5 @@
 // Fused decode plans: the erasure-pattern-specific half of the EC data
-// plane.
+// plane, and the one GF(2^8) elimination of the stack.
 //
 // A DecodePlan is built once per (code, erasure pattern): it selects k
 // linearly independent survivor rows of a systematic n x k generator (in
@@ -8,22 +8,35 @@
 // symbols from the k survivors, then lost parity rows from the complete
 // data — so decode() is nothing but dispatched multi-source x multi-dest
 // dot products (kernels.hpp), with zero matrix arithmetic on the data path.
-// Codes cache plans per erasure pattern (see gf::RsCode / the LRC code
-// model), turning repeated repairs of the same pattern into pure kernel
-// time.
 //
-// Like the rest of src/ec, this layer is link-independent of the gf
-// log/exp tables: inversion runs over mul_slow-derived tables at plan-build
-// time only.
+// Selection and inversion are one routine, independent_rows(), which the
+// LRC code model's decodability table runs too: a pattern is decodable
+// exactly when its plan is viable. Each code owns a DecodePlanCache, so
+// repeated repairs of one pattern are pure kernel time. Field arithmetic is
+// gf::mul / gf::inv, at plan-build time only.
 #pragma once
 
 #include <cstddef>
+#include <map>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ec/codec.hpp"
+#include "util/thread_safety.hpp"
 
 namespace mlec::ec {
+
+/// Greedy rank growth over a row-major generator with k columns: walk
+/// `candidates` (row indices) in order and keep each row that is linearly
+/// independent of the rows already kept, stopping at k. Returns the kept
+/// rows; fewer than k means the candidates do not span the k data symbols.
+/// When `inverse` is non-null and k rows are kept, it receives the
+/// row-major inverse of the k x k submatrix of kept rows (in kept order).
+std::vector<std::size_t> independent_rows(std::size_t k, std::span<const byte_t> generator,
+                                          std::span<const std::size_t> candidates,
+                                          std::vector<byte_t>* inverse = nullptr);
 
 class DecodePlan {
  public:
@@ -69,6 +82,35 @@ class DecodePlan {
   std::vector<std::size_t> lost_parity_;
   EncodePlan data_plan_;
   EncodePlan parity_plan_;
+};
+
+/// One code's decode plans, one per erasure pattern: keyed by the sorted
+/// pattern, built on first use and shared for the life of the cache. Plans
+/// are built outside the lock (inversion is costly for wide codes); a
+/// racing builder of the same pattern loses the emplace and its identical
+/// plan is dropped. Non-viable plans are cached too; decode() rejects them.
+class DecodePlanCache {
+ public:
+  /// `generator` as for DecodePlan: n x k, row-major, systematic.
+  DecodePlanCache(std::size_t n, std::size_t k, std::vector<byte_t> generator)
+      : n_(n), k_(k), generator_(std::move(generator)) {}
+
+  const std::vector<byte_t>& generator() const { return generator_; }
+
+  /// The plan for `erased` (distinct positions < n, any order).
+  std::shared_ptr<const DecodePlan> get(std::span<const std::size_t> erased) const
+      MLEC_EXCLUDES(mutex_);
+
+  /// Cached erasure patterns.
+  std::size_t size() const MLEC_EXCLUDES(mutex_);
+
+ private:
+  std::size_t n_;
+  std::size_t k_;
+  std::vector<byte_t> generator_;
+  mutable Mutex mutex_;
+  mutable std::map<std::vector<std::size_t>, std::shared_ptr<const DecodePlan>> plans_
+      MLEC_GUARDED_BY(mutex_);
 };
 
 /// Rebuild the erased shards in place: `shards` holds all width() buffer

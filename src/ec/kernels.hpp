@@ -3,10 +3,10 @@
 //
 // All kernels share the ISA-L split-nibble formulation: a product c*v is
 // table.lo[v & 0x0f] ^ table.hi[v >> 4], which vectorizes as two PSHUFB /
-// VPSHUFB shuffles over the 16-entry `gf::MulTable` halves. The scalar
-// backend runs the same tables through ordinary loads, so every backend is
-// byte-identical by construction and the scalar build doubles as the test
-// oracle.
+// VPSHUFB shuffles over the 16-entry halves of gf::make_mul_table(c). The
+// scalar backend runs the same tables through ordinary loads: it is the
+// stack's one portable byte-kernel set and the oracle every vector backend
+// is tested against, byte-identical by construction.
 //
 // Buffers may be arbitrarily aligned and arbitrarily sized: the vector
 // kernels use unaligned loads/stores for full strips and fall back to the

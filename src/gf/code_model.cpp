@@ -1,6 +1,5 @@
 #include "gf/code_model.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <map>
 #include <memory>
@@ -28,6 +27,21 @@ ErasureMask mask_of(std::span<const std::size_t> erased, std::size_t width) {
     mask |= bit;
   }
   return mask;
+}
+
+/// LRC generator rows over the k data symbols, row-major: identity for
+/// data, all-ones per group for local parities, Cauchy for globals.
+std::vector<gf::byte_t> lrc_generator(const LrcCode& c) {
+  const std::size_t k = c.k;
+  const std::size_t gd = c.group_data_chunks();
+  const gf::Matrix global = gf::Matrix::cauchy(c.r, k);
+  std::vector<gf::byte_t> gen(c.width() * k, 0);
+  for (std::size_t i = 0; i < k; ++i) gen[i * k + i] = 1;
+  for (std::size_t g = 0; g < c.l; ++g)
+    for (std::size_t j = 0; j < gd; ++j) gen[(k + g) * k + g * gd + j] = 1;
+  for (std::size_t j = 0; j < c.r; ++j)
+    for (std::size_t col = 0; col < k; ++col) gen[(k + c.l + j) * k + col] = global.at(j, col);
+  return gen;
 }
 
 // ---------------------------------------------------------------------------
@@ -89,32 +103,17 @@ class RsCodeModel final : public CodeModel {
 
 class LrcCodeModel final : public CodeModel {
  public:
-  explicit LrcCodeModel(const LevelCode& level) : level_(level) {
+  explicit LrcCodeModel(const LevelCode& level)
+      : level_(level),
+        plans_(level.lrc.width(), level.lrc.k, lrc_generator(level.lrc)),
+        encode_plan_(level.lrc.l + level.lrc.r, level.lrc.k,
+                     std::span(plans_.generator()).subspan(level.lrc.k * level.lrc.k)) {
     const LrcCode& c = level.lrc;
     const std::size_t n = c.width();
     const std::size_t k = c.k;
+    const std::size_t gd = c.group_data_chunks();
     MLEC_REQUIRE(n <= kLrcBitmaskWidthLimit,
                  "LRC decodability table supports at most 20 shards");
-
-    // Generator rows over the k data symbols: identity for data, all-ones
-    // per group for local parities, Cauchy for globals.
-    gen_ = gf::Matrix(n, k);
-    const gf::Matrix global = gf::Matrix::cauchy(c.r, k);
-    const std::size_t gd = c.group_data_chunks();
-    for (std::size_t i = 0; i < k; ++i) gen_.at(i, i) = 1;
-    for (std::size_t g = 0; g < c.l; ++g)
-      for (std::size_t j = 0; j < gd; ++j) gen_.at(k + g, g * gd + j) = 1;
-    for (std::size_t j = 0; j < c.r; ++j)
-      for (std::size_t col = 0; col < k; ++col) gen_.at(k + c.l + j, col) = global.at(j, col);
-
-    std::vector<gf::byte_t> coeffs((c.l + c.r) * k);
-    for (std::size_t row = 0; row < c.l + c.r; ++row)
-      for (std::size_t col = 0; col < k; ++col) coeffs[row * k + col] = gen_.at(k + row, col);
-    encode_plan_ = ec::EncodePlan(c.l + c.r, k, coeffs);
-
-    flat_gen_.resize(n * k);
-    for (std::size_t row = 0; row < n; ++row)
-      for (std::size_t col = 0; col < k; ++col) flat_gen_[row * k + col] = gen_.at(row, col);
 
     build_decodability_table();
 
@@ -177,33 +176,11 @@ class LrcCodeModel final : public CodeModel {
     const std::size_t len = shards[0].size();
     for (const auto& s : shards) MLEC_REQUIRE(s.size() == len, "shard size mismatch");
 
-    // Fused plan per erasure pattern, cached: DecodePlan runs the same
-    // greedy rank-growing survivor selection this model used to do inline
-    // (stripe order, so intact data passes through untouched), then all
-    // byte work is dispatched ec kernels.
-    const auto plan = decode_plan(lost);
+    // The cached fused plan: every byte of work is dispatched ec kernels.
+    const auto plan = plans_.get(lost);
     std::vector<gf::byte_t*> ptrs(shards.size());
     for (std::size_t i = 0; i < shards.size(); ++i) ptrs[i] = shards[i].data();
     ec::decode(*plan, ptrs.data(), len);
-  }
-
-  /// Plan for `lost`, built on first use and cached (keyed by the sorted
-  /// pattern). A decodable pattern always yields a viable plan — both walk
-  /// survivor rows the same way.
-  std::shared_ptr<const ec::DecodePlan> decode_plan(std::span<const std::size_t> lost) const
-      MLEC_EXCLUDES(plan_mutex_) {
-    std::vector<std::size_t> key(lost.begin(), lost.end());
-    std::sort(key.begin(), key.end());
-    {
-      const MutexLock lock(plan_mutex_);
-      if (auto it = plan_cache_.find(key); it != plan_cache_.end()) return it->second;
-    }
-    // Built outside the lock (same emplace race as RsCode::decode_plan:
-    // the losing builder's identical plan is dropped).
-    auto plan = std::make_shared<const ec::DecodePlan>(width(), level_.lrc.k, flat_gen_, key);
-    MLEC_ASSERT(plan->viable(), "decodable pattern must yield a full-rank survivor set");
-    const MutexLock lock(plan_mutex_);
-    return plan_cache_.emplace(std::move(key), std::move(plan)).first->second;
   }
 
  private:
@@ -215,37 +192,6 @@ class LrcCodeModel final : public CodeModel {
     return c.l;
   }
 
-  /// Survivor rows span the k data symbols?
-  bool full_rank_survivors(ErasureMask erased) const {
-    const std::size_t n = width();
-    const std::size_t k = level_.lrc.k;
-    std::vector<std::vector<gf::byte_t>> reduced;
-    std::vector<std::size_t> pivots;
-    for (std::size_t row = 0; row < n && reduced.size() < k; ++row) {
-      if ((erased >> row) & 1U) continue;
-      std::vector<gf::byte_t> v(k);
-      for (std::size_t col = 0; col < k; ++col) v[col] = gen_.at(row, col);
-      for (std::size_t r = 0; r < reduced.size(); ++r) {
-        const gf::byte_t factor = v[pivots[r]];
-        if (factor == 0) continue;
-        for (std::size_t col = 0; col < k; ++col)
-          v[col] = gf::add(v[col], gf::mul(factor, reduced[r][col]));
-      }
-      std::size_t pivot = k;
-      for (std::size_t col = 0; col < k; ++col)
-        if (v[col] != 0) {
-          pivot = col;
-          break;
-        }
-      if (pivot == k) continue;
-      const gf::byte_t scale = gf::inv(v[pivot]);
-      for (std::size_t col = 0; col < k; ++col) v[col] = gf::mul(scale, v[col]);
-      reduced.push_back(std::move(v));
-      pivots.push_back(pivot);
-    }
-    return reduced.size() == k;
-  }
-
   void build_decodability_table() {
     const std::size_t n = width();
     const std::size_t k = level_.lrc.k;
@@ -253,6 +199,16 @@ class LrcCodeModel final : public CodeModel {
     can_repair_.assign(ErasureMask{1} << n, false);
     std::vector<double> decodable(n + 1, 0.0);
     std::vector<double> patterns(n + 1, 0.0);
+
+    // Decodable iff the survivor rows span the data: the walk a DecodePlan
+    // for the pattern runs, so the table and the byte decoder agree.
+    std::vector<std::size_t> survivors;
+    auto full_rank = [&](ErasureMask erased) {
+      survivors.clear();
+      for (std::size_t row = 0; row < n; ++row)
+        if (((erased >> row) & 1U) == 0) survivors.push_back(row);
+      return ec::independent_rows(k, plans_.generator(), survivors).size() == k;
+    };
 
     // Increasing mask order guarantees every one-bit-removed submask is
     // already classified (it is numerically smaller).
@@ -263,7 +219,7 @@ class LrcCodeModel final : public CodeModel {
       bool candidate = true;
       for (std::size_t b = 0; b < n && candidate; ++b)
         if ((mask >> b) & 1U) candidate = can_repair_[mask & ~(ErasureMask{1} << b)];
-      const bool ok = candidate && (mask == 0 || full_rank_survivors(mask));
+      const bool ok = candidate && (mask == 0 || full_rank(mask));
       can_repair_[mask] = ok;
       if (ok) decodable[f] += 1.0;
     }
@@ -285,12 +241,8 @@ class LrcCodeModel final : public CodeModel {
   }
 
   LevelCode level_;
-  gf::Matrix gen_;                  ///< n x k generator over the data symbols
-  std::vector<gf::byte_t> flat_gen_;  ///< gen_ flattened row-major for DecodePlan
+  ec::DecodePlanCache plans_;  ///< over the n x k generator, its one copy
   ec::EncodePlan encode_plan_;
-  mutable Mutex plan_mutex_;
-  mutable std::map<std::vector<std::size_t>, std::shared_ptr<const ec::DecodePlan>> plan_cache_
-      MLEC_GUARDED_BY(plan_mutex_);
   std::vector<bool> can_repair_;  ///< indexed by erasure bitmask
   std::vector<double> decodable_frac_;
   std::vector<double> single_reads_;

@@ -6,14 +6,16 @@
 // A CodeModel answers four questions about one MLEC level's code:
 //  * decodability — can_repair() over an erasure bitmask (or index list),
 //    O(1) after construction via a precomputed table (the YTsaurus lrc.h
-//    idiom) for the non-MDS families;
+//    idiom) for the non-MDS families, filled by the same elimination
+//    (ec::independent_rows) that builds the decoder's plans;
 //  * repair cost — shards read to rebuild one position under a failure
 //    pattern, and the average over single failures (the quantity that sets
 //    cross-rack repair traffic);
 //  * tolerance structure — min_tolerance (largest f with every f-pattern
 //    decodable), max_tolerance, and the per-f decodable fraction the
 //    closed forms consume in place of the MDS "p" everywhere;
-//  * the concrete encoder/decoder over the SIMD ec:: data plane.
+//  * the concrete encoder/decoder over the SIMD ec:: data plane, with one
+//    ec::DecodePlanCache per code.
 //
 // Families shipped here: Reed-Solomon (kRs, any width up to the GF(256)
 // 256-symbol limit, wide stripes included) and Azure-style LRC (kLrc) with

@@ -43,23 +43,6 @@ byte_t inv(byte_t a) {
   return t.exp[255 - t.log[a]];
 }
 
-byte_t div(byte_t a, byte_t b) {
-  MLEC_REQUIRE(b != 0, "division by zero in GF(256)");
-  if (a == 0) return 0;
-  const auto& t = tables();
-  return t.exp[static_cast<unsigned>(t.log[a]) + 255 - t.log[b]];
-}
-
-byte_t pow(byte_t a, unsigned n) {
-  if (n == 0) return 1;
-  if (a == 0) return 0;
-  const auto& t = tables();
-  // Reduce the exponent first: log[a] * n overflows 32 bits for n > ~16.9M
-  // (a^n = a^(n mod 255) for nonzero a, since the multiplicative group has
-  // order 255).
-  return t.exp[(static_cast<unsigned>(t.log[a]) * (n % 255)) % 255];
-}
-
 MulTable make_mul_table(byte_t c) {
   MulTable table{};
   for (unsigned n = 0; n < 16; ++n) {
@@ -67,50 +50,6 @@ MulTable make_mul_table(byte_t c) {
     table.hi[n] = mul(c, static_cast<byte_t>(n << 4));
   }
   return table;
-}
-
-void mul_acc(const MulTable& table, std::span<const byte_t> src, std::span<byte_t> dst) {
-  MLEC_REQUIRE(src.size() == dst.size(), "buffer sizes must match");
-  const byte_t* __restrict s = src.data();
-  byte_t* __restrict d = dst.data();
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const byte_t v = s[i];
-    d[i] ^= table.lo[v & 0x0f] ^ table.hi[v >> 4];
-  }
-}
-
-void mul_assign(const MulTable& table, std::span<const byte_t> src, std::span<byte_t> dst) {
-  MLEC_REQUIRE(src.size() == dst.size(), "buffer sizes must match");
-  const byte_t* __restrict s = src.data();
-  byte_t* __restrict d = dst.data();
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const byte_t v = s[i];
-    d[i] = table.lo[v & 0x0f] ^ table.hi[v >> 4];
-  }
-}
-
-FullMulTable make_full_table(byte_t c) {
-  FullMulTable table{};
-  for (unsigned v = 0; v < 256; ++v) table[v] = mul(c, static_cast<byte_t>(v));
-  return table;
-}
-
-void mul_acc(const FullMulTable& table, std::span<const byte_t> src, std::span<byte_t> dst) {
-  MLEC_REQUIRE(src.size() == dst.size(), "buffer sizes must match");
-  const byte_t* __restrict s = src.data();
-  byte_t* __restrict d = dst.data();
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] ^= table[s[i]];
-}
-
-void mul_assign(const FullMulTable& table, std::span<const byte_t> src, std::span<byte_t> dst) {
-  MLEC_REQUIRE(src.size() == dst.size(), "buffer sizes must match");
-  const byte_t* __restrict s = src.data();
-  byte_t* __restrict d = dst.data();
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] = table[s[i]];
 }
 
 }  // namespace mlec::gf

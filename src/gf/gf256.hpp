@@ -1,17 +1,15 @@
 // GF(2^8) arithmetic over the AES/ISA-L polynomial x^8+x^4+x^3+x^2+1 (0x1d).
 //
-// This is the arithmetic substrate for the Reed-Solomon coder that stands in
-// for Intel ISA-L in the paper's encoding-throughput study (Figure 11). The
-// bulk kernel uses split-nibble lookup tables (the scalar formulation of the
-// PSHUFB trick), which is the fastest portable approach without intrinsics.
-// The vectorized PSHUFB/VPSHUFB implementations of the same tables — and the
-// fused multi-shard kernels the coder actually dispatches to — live in
-// src/ec/ (see ec/kernels.hpp).
+// The one field of the EC stack: mul/inv (log/exp tables) serve plan-build
+// elimination in ec/decode and the Cauchy generator in gf/matrix, and
+// make_mul_table compiles a coefficient into the split-nibble tables (the
+// scalar formulation of the PSHUFB trick) that every byte kernel in
+// src/ec/ consumes (see ec/kernels.hpp). This translation unit builds into
+// mlec_ec, the lowest EC library.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 namespace mlec::gf {
 
@@ -26,12 +24,6 @@ byte_t mul(byte_t a, byte_t b);
 /// Multiplicative inverse; requires a != 0.
 byte_t inv(byte_t a);
 
-/// a / b; requires b != 0.
-byte_t div(byte_t a, byte_t b);
-
-/// a^n (n >= 0).
-byte_t pow(byte_t a, unsigned n);
-
 /// Precomputed split-nibble tables for multiplying a buffer by a constant.
 struct MulTable {
   std::array<byte_t, 16> lo;  ///< products of c with 0x00..0x0f
@@ -40,23 +32,6 @@ struct MulTable {
 
 /// Build the nibble tables for constant `c`.
 MulTable make_mul_table(byte_t c);
-
-/// dst[i] ^= c * src[i] for all i (the GF multiply-accumulate at the heart of
-/// every RS encode). Sizes must match.
-void mul_acc(const MulTable& table, std::span<const byte_t> src, std::span<byte_t> dst);
-
-/// dst[i] = c * src[i].
-void mul_assign(const MulTable& table, std::span<const byte_t> src, std::span<byte_t> dst);
-
-/// Full 256-entry product table: one lookup per byte instead of two plus a
-/// XOR. 8x the footprint of MulTable (256 B, still a fraction of L1), and
-/// the faster choice for the long sequential buffers the encoder processes;
-/// the coder uses these for its precomputed rows.
-using FullMulTable = std::array<byte_t, 256>;
-
-FullMulTable make_full_table(byte_t c);
-void mul_acc(const FullMulTable& table, std::span<const byte_t> src, std::span<byte_t> dst);
-void mul_assign(const FullMulTable& table, std::span<const byte_t> src, std::span<byte_t> dst);
 
 /// Primitive element used to generate the field (0x02 for this polynomial).
 inline constexpr byte_t kGenerator = 0x02;

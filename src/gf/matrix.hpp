@@ -1,5 +1,5 @@
-// Dense matrices over GF(2^8): construction of MDS generator matrices and
-// Gaussian elimination for decode.
+// Dense matrices over GF(2^8): the Cauchy construction behind every MDS
+// generator. Elimination over GF(2^8) lives in one place, ec/decode.
 #pragma once
 
 #include <cstddef>
@@ -21,20 +21,10 @@ class Matrix {
   byte_t& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   byte_t at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-  static Matrix identity(std::size_t n);
-
   /// Cauchy matrix rows x cols: a[i][j] = 1/(x_i + y_j) with distinct
   /// x_i = i + cols and y_j = j. Any square submatrix is invertible, making
   /// the systematic [I; C] generator MDS for k = cols, p = rows.
   static Matrix cauchy(std::size_t rows, std::size_t cols);
-
-  Matrix multiply(const Matrix& other) const;
-
-  /// Inverse via Gauss-Jordan. Requires a square, nonsingular matrix;
-  /// returns false (leaving *out* unspecified) when singular.
-  bool invert(Matrix& out) const;
-
-  bool operator==(const Matrix& other) const = default;
 
  private:
   std::size_t rows_ = 0;

@@ -1,34 +1,36 @@
 #include "gf/rs.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace mlec::gf {
 
 namespace {
 
-ec::EncodePlan plan_from_rows(const Matrix& m) {
-  std::vector<byte_t> coeffs(m.rows() * m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    for (std::size_t c = 0; c < m.cols(); ++c) coeffs[r * m.cols() + c] = m.at(r, c);
-  return ec::EncodePlan(m.rows(), m.cols(), coeffs);
+Matrix checked_cauchy(std::size_t k, std::size_t p) {
+  MLEC_REQUIRE(k >= 1, "RS needs at least one data shard");
+  MLEC_REQUIRE(k + p <= 256, "RS over GF(256) supports at most 256 shards");
+  return Matrix::cauchy(p, k);
+}
+
+/// The systematic generator [I; C] over the data symbols, row-major.
+std::vector<byte_t> systematic_generator(const Matrix& parity_rows) {
+  const std::size_t k = parity_rows.cols();
+  const std::size_t p = parity_rows.rows();
+  std::vector<byte_t> gen((k + p) * k, 0);
+  for (std::size_t i = 0; i < k; ++i) gen[i * k + i] = 1;
+  for (std::size_t r = 0; r < p; ++r)
+    for (std::size_t c = 0; c < k; ++c) gen[(k + r) * k + c] = parity_rows.at(r, c);
+  return gen;
 }
 
 }  // namespace
 
-RsCode::RsCode(std::size_t k, std::size_t p) : k_(k), p_(p) {
-  MLEC_REQUIRE(k >= 1, "RS needs at least one data shard");
-  MLEC_REQUIRE(k + p <= 256, "RS over GF(256) supports at most 256 shards");
-  parity_rows_ = Matrix::cauchy(p, k);
-  encode_plan_ = plan_from_rows(parity_rows_);
-  // Systematic generator [I; C] over the data symbols, the shape
-  // ec::DecodePlan consumes.
-  generator_.assign((k + p) * k, 0);
-  for (std::size_t i = 0; i < k; ++i) generator_[i * k + i] = 1;
-  for (std::size_t r = 0; r < p; ++r)
-    for (std::size_t c = 0; c < k; ++c) generator_[(k + r) * k + c] = parity_rows_.at(r, c);
-}
+RsCode::RsCode(std::size_t k, std::size_t p)
+    : k_(k),
+      p_(p),
+      parity_rows_(checked_cauchy(k, p)),
+      plans_(k + p, k, systematic_generator(parity_rows_)),
+      encode_plan_(p, k, std::span(plans_.generator()).subspan(k * k)) {}
 
 void RsCode::encode(std::span<const std::span<const byte_t>> data,
                     std::span<const std::span<byte_t>> parity) const {
@@ -61,24 +63,7 @@ std::shared_ptr<const ec::DecodePlan> RsCode::decode_plan(
     std::span<const std::size_t> lost) const {
   MLEC_REQUIRE(p_ > 0 || lost.empty(), "a p == 0 code has no parity to repair from");
   MLEC_REQUIRE(lost.size() <= p_, "cannot recover more shards than parities");
-  std::vector<std::size_t> key(lost.begin(), lost.end());
-  std::sort(key.begin(), key.end());
-  {
-    const MutexLock lock(plan_mutex_);
-    if (auto it = plan_cache_.find(key); it != plan_cache_.end()) return it->second;
-  }
-  // Build outside the lock (inversion can be expensive for wide codes); a
-  // racing builder of the same pattern loses the emplace and its plan is
-  // dropped — both are identical.
-  auto plan = std::make_shared<const ec::DecodePlan>(k_ + p_, k_, generator_, key);
-  MLEC_REQUIRE(plan->viable(), "generator submatrix singular (not MDS?)");
-  const MutexLock lock(plan_mutex_);
-  return plan_cache_.emplace(std::move(key), std::move(plan)).first->second;
-}
-
-std::size_t RsCode::cached_decode_plans() const {
-  const MutexLock lock(plan_mutex_);
-  return plan_cache_.size();
+  return plans_.get(lost);
 }
 
 void RsCode::decode(std::vector<std::vector<byte_t>>& shards,

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "ec/decode.hpp"
 #include "ec/stream.hpp"
 #include "gf/matrix.hpp"
-#include "util/thread_safety.hpp"
 
 namespace mlec::gf {
 
@@ -76,11 +74,10 @@ class RsCode {
   /// The fused plan for one erasure pattern, built on first use and cached
   /// (keyed by the sorted pattern) for the lifetime of the code. Streaming
   /// callers can drive ec::decode / ec::decode_parallel with it directly.
-  std::shared_ptr<const ec::DecodePlan> decode_plan(std::span<const std::size_t> lost) const
-      MLEC_EXCLUDES(plan_mutex_);
+  std::shared_ptr<const ec::DecodePlan> decode_plan(std::span<const std::size_t> lost) const;
 
   /// Cached erasure patterns (tests/diagnostics).
-  std::size_t cached_decode_plans() const MLEC_EXCLUDES(plan_mutex_);
+  std::size_t cached_decode_plans() const { return plans_.size(); }
 
   /// The p x k parity-generation rows (Cauchy).
   const Matrix& parity_rows() const { return parity_rows_; }
@@ -93,14 +90,8 @@ class RsCode {
   std::size_t k_;
   std::size_t p_;
   Matrix parity_rows_;
-  ec::EncodePlan encode_plan_;      // p x k parity rows as nibble tables
-  std::vector<byte_t> generator_;   // (k+p) x k systematic generator rows
-  mutable Mutex plan_mutex_;
-  /// Plans are built outside the lock and emplaced under it: a racing
-  /// builder of the same pattern loses the emplace and its (identical)
-  /// plan is dropped. The map itself is only ever touched locked.
-  mutable std::map<std::vector<std::size_t>, std::shared_ptr<const ec::DecodePlan>> plan_cache_
-      MLEC_GUARDED_BY(plan_mutex_);
+  ec::DecodePlanCache plans_;   // over the (k+p) x k systematic generator [I; C]
+  ec::EncodePlan encode_plan_;  // p x k parity rows as nibble tables
 };
 
 }  // namespace mlec::gf

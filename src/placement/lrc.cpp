@@ -1,7 +1,10 @@
 #include "placement/lrc.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
+#include "math/combin.hpp"
 #include "util/error.hpp"
 
 namespace mlec {
@@ -44,6 +47,29 @@ bool LrcStripeShape::recoverable_counts(const LrcCode& code,
   std::size_t residual = failed_globals;
   for (std::size_t f : failures_per_group) residual += f > 0 ? f - 1 : 0;
   return residual <= code.r;
+}
+
+DiscreteDist LrcStripeShape::residual_distribution(const std::vector<double>& chunk_loss) const {
+  MLEC_REQUIRE(chunk_loss.size() == width(), "one loss probability per chunk");
+  const std::size_t cap = code_.r + 1;
+  auto probs_of = [&](std::size_t g) {
+    std::vector<double> probs;
+    for (std::size_t c = 0; c < width(); ++c)
+      if (group(c) == g) probs.push_back(chunk_loss[c]);
+    return probs;
+  };
+  DiscreteDist residual = DiscreteDist::delta(0);
+  for (std::size_t g = 0; g < code_.l; ++g) {
+    const std::vector<double> pmf = poisson_binomial_pmf(probs_of(g));
+    // Deficiency max(f-1, 0): the local parity absorbs one failure. A group
+    // holds at least one data chunk and its parity, so pmf has >= 3 entries.
+    std::vector<double> def(pmf.size() - 1, 0.0);
+    def[0] = pmf[0] + pmf[1];
+    for (std::size_t f = 2; f < pmf.size(); ++f) def[f - 1] = pmf[f];
+    residual = residual.convolve(DiscreteDist(std::move(def)), cap);
+  }
+  return residual.convolve(
+      DiscreteDist(poisson_binomial_pmf(probs_of(code_.l), static_cast<std::int64_t>(cap))), cap);
 }
 
 std::size_t LrcStripeShape::single_repair_reads(std::size_t chunk) const {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "math/distribution.hpp"
 #include "placement/codes.hpp"
 #include "topology/topology.hpp"
 #include "util/rng.hpp"
@@ -46,6 +47,13 @@ class LrcStripeShape {
   static bool recoverable_counts(const LrcCode& code,
                                  const std::vector<std::size_t>& failures_per_group,
                                  std::size_t failed_globals);
+
+  /// The same criterion over independent chunk losses: the distribution of
+  /// the residual (each local group's failures less the one its parity
+  /// absorbs, plus the failed globals) when chunk c fails with probability
+  /// chunk_loss[c], in stripe order. Residuals above r+1 are lumped at r+1,
+  /// so tail_geq(r+1) is the probability the stripe is lost.
+  DiscreteDist residual_distribution(const std::vector<double>& chunk_loss) const;
 
   /// Chunks that must be read to repair a single failed chunk: the rest of
   /// its local group for data/local-parity chunks (the LRC selling point),

@@ -37,9 +37,6 @@ inline constexpr double kRebuildCompleteEpsilonTb = 1e-12;
 /// Immutable rebuild physics of one local pool. Fill the fields, then call
 /// finalize() once to build the derived lookup tables.
 struct PoolRepairModel {
-  /// Sentinel for `tolerance`: derive from the MDS code at finalize().
-  static constexpr std::size_t kToleranceFromCode = static_cast<std::size_t>(-1);
-
   SlecCode code{17, 3};
   std::size_t pool_disks = 20;  ///< k_l+p_l for clustered, enclosure for declustered
   bool clustered = true;        ///< local placement
@@ -48,21 +45,10 @@ struct PoolRepairModel {
   double disk_capacity_tb = 20.0;
   double chunk_kb = 128.0;
   double disk_eff_mbps = 40.0;  ///< effective (capped) per-disk bandwidth
-  /// Erasure tolerance that drives the catastrophe threshold and the
-  /// critical-window classes. Defaults (at finalize()) to code.p — the MDS
-  /// value; a non-MDS local code installs its CodeModel::min_tolerance()
-  /// here instead of patching every `> p` comparison.
-  std::size_t tolerance = kToleranceFromCode;
-  /// Shards read per rebuilt chunk (the declustered rebuild fan-in of
-  /// Table 2's k_l+1 denominator). Defaults to code.k; a repair-efficient
-  /// code installs CodeModel::avg_single_repair_reads().
-  double repair_read_shards = -1.0;
 
   void finalize() {
     MLEC_ASSERT(pool_disks >= code.width(), "pool narrower than its code");
     MLEC_ASSERT(disk_eff_mbps > 0.0, "finalize() needs a positive disk bandwidth");
-    if (tolerance == kToleranceFromCode) tolerance = code.p;
-    if (repair_read_shards < 0.0) repair_read_shards = static_cast<double>(code.k);
     const std::size_t max_f = std::min<std::size_t>(pool_disks, 64);
     frac_tab_.assign(max_f + 1, 0.0);
     decl_bw_tab_.assign(max_f + 1, 0.0);
@@ -73,7 +59,7 @@ struct PoolRepairModel {
       frac_tab_[f] = hypergeom_tail_geq(static_cast<std::int64_t>(pool_disks),
                                         static_cast<std::int64_t>(f),
                                         static_cast<std::int64_t>(code.width()),
-                                        static_cast<std::int64_t>(tolerance + 1));
+                                        static_cast<std::int64_t>(code.p + 1));
       decl_bw_tab_[f] = declustered_bw_raw(f);
       crit_win_tab_[f] = detection_hours + critical_volume_tb(f) / decl_bw_tab_[f];
     }
@@ -117,7 +103,7 @@ struct PoolRepairModel {
     const double p_crit = hypergeom_pmf(static_cast<std::int64_t>(pool_disks),
                                         static_cast<std::int64_t>(f),
                                         static_cast<std::int64_t>(code.width()),
-                                        static_cast<std::int64_t>(tolerance));
+                                        static_cast<std::int64_t>(code.p));
     return stripes_in_pool() * p_crit * chunk_kb * 1e3 / 1e12;
   }
   /// Length of the critical window opened by reaching f concurrent failures:
@@ -132,7 +118,7 @@ struct PoolRepairModel {
  private:
   double declustered_bw_raw(std::size_t f) const {
     return static_cast<double>(pool_disks - f) * disk_eff_mbps /
-           (repair_read_shards + 1.0) * units::kSecondsPerHour * 1e6 / 1e12;
+           (static_cast<double>(code.k) + 1.0) * units::kSecondsPerHour * 1e6 / 1e12;
   }
 
   std::vector<double> frac_tab_;      ///< declustered_lost_fraction by f
@@ -175,20 +161,19 @@ struct LocalPoolState {
 
   /// After add_failure: did that failure exceed the pool's tolerance?
   /// Clustered pools (and declustered without priority repair) lose data at
-  /// any tolerance+1 overlap (p_l+1 for the MDS default); declustered
-  /// priority reconstruction only inside the critical window.
+  /// any p_l+1 overlap; declustered priority reconstruction only inside the
+  /// critical window.
   bool catastrophic(double t, const PoolRepairModel& m) const {
-    if (failures.size() < m.tolerance + 1) return false;
+    if (failures.size() < m.code.p + 1) return false;
     if (m.clustered || !m.priority_repair) return true;
     return t < clear_at;
   }
 
   /// After a *tolerated* failure: extend the declustered critical window
-  /// while stripes at exactly `tolerance` failed chunks may exist. No-op
-  /// otherwise.
+  /// while stripes at exactly p_l failed chunks may exist. No-op otherwise.
   void extend_critical_window(double t, const PoolRepairModel& m) {
     if (m.clustered || !m.priority_repair) return;
-    if (failures.size() >= m.tolerance)
+    if (failures.size() >= m.code.p)
       clear_at = std::max(clear_at, t + m.critical_window_hours(failures.size()));
   }
 

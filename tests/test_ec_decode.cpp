@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <span>
 #include <vector>
@@ -56,6 +57,19 @@ std::vector<std::size_t> random_decodable_pattern(const CodeModel& model, std::s
   return {};  // caller treats empty as "no decodable pattern of this size"
 }
 
+/// The generator shape the LRC code model builds: identity data rows, one
+/// all-ones row per local group, Cauchy global rows.
+std::vector<byte_t> lrc_generator(std::size_t k, std::size_t l, std::size_t r) {
+  std::vector<byte_t> gen((k + l + r) * k, 0);
+  for (std::size_t i = 0; i < k; ++i) gen[i * k + i] = 1;
+  for (std::size_t g = 0; g < l; ++g)
+    for (std::size_t j = 0; j < k / l; ++j) gen[(k + g) * k + g * (k / l) + j] = 1;
+  const gf::Matrix global = gf::Matrix::cauchy(r, k);
+  for (std::size_t j = 0; j < r; ++j)
+    for (std::size_t c = 0; c < k; ++c) gen[(k + l + j) * k + c] = global.at(j, c);
+  return gen;
+}
+
 TEST(EcDecodePlan, ValidatesInputs) {
   // 3+2 toy systematic generator: identity + two distinct parity rows.
   const std::vector<byte_t> gen{1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3};
@@ -94,15 +108,7 @@ TEST(EcDecodePlan, NonViablePatternRejectedByDecode) {
   const std::vector<std::size_t> lost{0, 1, 4};
   ASSERT_FALSE(model->can_repair(lost));
 
-  // Rebuild the same generator shape the model uses to probe DecodePlan.
-  std::vector<byte_t> gen(7 * 4, 0);
-  for (std::size_t i = 0; i < 4; ++i) gen[i * 4 + i] = 1;
-  gen[4 * 4 + 0] = gen[4 * 4 + 1] = 1;
-  gen[5 * 4 + 2] = gen[5 * 4 + 3] = 1;
-  const gf::Matrix global = gf::Matrix::cauchy(1, 4);
-  for (std::size_t c = 0; c < 4; ++c) gen[6 * 4 + c] = global.at(0, c);
-
-  const DecodePlan plan(7, 4, gen, lost);
+  const DecodePlan plan(7, 4, lrc_generator(4, 2, 1), lost);
   EXPECT_FALSE(plan.viable());
   std::vector<std::vector<byte_t>> shards(7, std::vector<byte_t>(64, 0));
   std::vector<byte_t*> ptrs;
@@ -260,6 +266,82 @@ TEST(EcPlanCache, RsCachesOnePlanPerPattern) {
   code.decode(damaged, a);
   EXPECT_EQ(damaged, shards);
   EXPECT_EQ(code.cached_decode_plans(), 2u);
+}
+
+TEST(EcPlanCache, LrcCachesOnePlanPerPattern) {
+  // lrc(4,2,1): groups {0,1}+p4 and {2,3}+p5, global p6. Non-MDS, so the
+  // cache also holds non-viable plans.
+  const DecodePlanCache cache(7, 4, lrc_generator(4, 2, 1));
+  EXPECT_EQ(cache.size(), 0u);
+  const std::vector<std::size_t> a{1, 6};
+  const std::vector<std::size_t> a_reordered{6, 1};
+  const auto p1 = cache.get(a);
+  const auto p2 = cache.get(a_reordered);  // sorted key: same pattern
+  EXPECT_EQ(p1.get(), p2.get());
+  EXPECT_TRUE(p1->viable());
+  EXPECT_EQ(cache.size(), 1u);
+  const std::vector<std::size_t> lost_group{4, 0, 1};
+  const auto dead = cache.get(lost_group);
+  EXPECT_FALSE(dead->viable());
+  EXPECT_EQ(cache.get(std::vector<std::size_t>{0, 1, 4}).get(), dead.get());
+  EXPECT_EQ(cache.size(), 2u);
+
+  // The cached plan rebuilds a stripe the LRC code model encoded.
+  const auto model = make_code_model(LevelCode::make_lrc(LrcCode{4, 2, 1}));
+  Rng rng(112);
+  const auto shards = random_stripe(*model, 257, rng);
+  auto damaged = shards;
+  for (auto idx : a) std::fill(damaged[idx].begin(), damaged[idx].end(), 0);
+  std::vector<byte_t*> ptrs;
+  for (auto& s : damaged) ptrs.push_back(s.data());
+  decode(*p2, ptrs.data(), 257);
+  EXPECT_EQ(damaged, shards);
+}
+
+/// FNV-1a over a byte range, folded into `h`.
+std::uint64_t fnv1a(std::span<const byte_t> bytes, std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (const byte_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+/// Parity bytes of one stripe of fixed (non-random) data, hashed.
+std::uint64_t parity_hash(const CodeModel& model, std::size_t len) {
+  std::vector<std::vector<byte_t>> shards(model.width(), std::vector<byte_t>(len, 0));
+  for (std::size_t i = 0; i < model.data_chunks(); ++i)
+    for (std::size_t j = 0; j < len; ++j) shards[i][j] = static_cast<byte_t>(j * 31 + i * 131 + 7);
+  std::vector<std::span<const byte_t>> data(shards.begin(),
+                                            shards.begin() + model.data_chunks());
+  std::vector<std::span<byte_t>> parity(shards.begin() + model.data_chunks(), shards.end());
+  model.encode(data, parity);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& span : parity) h = fnv1a(span, h);
+  return h;
+}
+
+TEST(EcPin, ParityAndPlanBytesArePinned) {
+  // The paper's local and network RS codes and the crosscheck LRC shape:
+  // any change to the field, the Cauchy rows, the elimination or the
+  // kernels moves these bytes.
+  EXPECT_EQ(parity_hash(*make_code_model(LevelCode::make_rs({17, 3})), 1000),
+            0x4f3b1088a5363266ULL);
+  EXPECT_EQ(parity_hash(*make_code_model(LevelCode::make_rs({10, 2})), 1000),
+            0x8855e284fd98fbc7ULL);
+  EXPECT_EQ(parity_hash(*make_code_model(LevelCode::make_lrc(LrcCode{12, 2, 2})), 1000),
+            0x09a0f194ae4fa750ULL);
+
+  // One plan's inverted-submatrix rows: RS(17+3) losing two data shards
+  // and a parity.
+  const gf::RsCode code(17, 3);
+  const std::vector<std::size_t> lost{3, 11, 18};
+  const auto plan = code.decode_plan(lost);
+  ASSERT_EQ(plan->data_plan().rows(), 2u);
+  std::vector<byte_t> coeffs;
+  for (std::size_t r = 0; r < plan->data_plan().rows(); ++r)
+    for (std::size_t c = 0; c < plan->data_plan().cols(); ++c)
+      coeffs.push_back(plan->data_plan().coefficient(r, c));
+  EXPECT_EQ(fnv1a(coeffs), 0xe2be9452ea9748dbULL);
+  EXPECT_EQ(coeffs[0], 0x71);
+  EXPECT_EQ(coeffs[16], 0xad);
 }
 
 TEST(EcPlanCache, RejectsOverParityLoss) {

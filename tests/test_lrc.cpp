@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace mlec {
 namespace {
@@ -69,6 +73,53 @@ TEST(LrcShape, CountsApiMatchesChunkApi) {
   EXPECT_FALSE(LrcStripeShape::recoverable_counts(kPaperLrc, {6, 0}, 0));
   EXPECT_FALSE(LrcStripeShape::recoverable_counts(kPaperLrc, {2, 0}, 4));
   EXPECT_TRUE(LrcStripeShape::recoverable_counts(kPaperLrc, {1, 1}, 4));
+}
+
+TEST(LrcShape, ResidualDistributionMatchesBruteForce) {
+  // Enumerate every failure subset of small shapes under uneven per-chunk
+  // loss probabilities: the loss mass must equal the summed probability of
+  // the subsets recoverable() rejects, and each residual's mass the
+  // probability of the subsets whose residual it is.
+  Rng rng(77);
+  for (const LrcCode code : {LrcCode{4, 2, 1}, kFigureLrc, LrcCode{6, 3, 2}, LrcCode{6, 2, 3}}) {
+    const LrcStripeShape shape(code);
+    const std::size_t w = shape.width();
+    std::vector<double> loss(w);
+    for (auto& u : loss) u = 0.05 + 0.6 * rng.uniform();
+    const DiscreteDist dist = shape.residual_distribution(loss);
+    ASSERT_EQ(dist.size(), code.r + 2);
+
+    std::vector<double> brute(code.r + 2, 0.0);
+    double lost = 0.0;
+    for (std::uint32_t mask = 0; mask < (1U << w); ++mask) {
+      double prob = 1.0;
+      std::vector<std::size_t> failed;
+      std::vector<std::size_t> per_group(code.l, 0);
+      std::size_t globals = 0;
+      for (std::size_t c = 0; c < w; ++c) {
+        const bool f = ((mask >> c) & 1U) != 0;
+        prob *= f ? loss[c] : 1.0 - loss[c];
+        if (!f) continue;
+        failed.push_back(c);
+        if (shape.group(c) == code.l)
+          ++globals;
+        else
+          ++per_group[shape.group(c)];
+      }
+      if (!shape.recoverable(failed)) lost += prob;
+      // Residual: the fewest globals that would make the pattern
+      // recoverable, lumped at r+1.
+      std::size_t residual = 0;
+      while (residual <= code.r &&
+             !LrcStripeShape::recoverable_counts(LrcCode{code.k, code.l, residual}, per_group,
+                                                 globals))
+        ++residual;
+      brute[residual] += prob;
+    }
+    EXPECT_NEAR(dist.tail_geq(code.r + 1), lost, 1e-12) << code.notation();
+    for (std::size_t j = 0; j < brute.size(); ++j)
+      EXPECT_NEAR(dist.pmf(j), brute[j], 1e-12) << code.notation() << " residual " << j;
+  }
 }
 
 TEST(LrcShape, SingleRepairReads) {

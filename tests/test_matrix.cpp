@@ -2,78 +2,91 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <numeric>
+#include <vector>
+
+#include "ec/decode.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mlec::gf {
 namespace {
 
-TEST(Matrix, IdentityMultiplication) {
-  const auto id = Matrix::identity(5);
-  Matrix m(5, 5);
-  Rng rng(1);
-  for (std::size_t r = 0; r < 5; ++r)
-    for (std::size_t c = 0; c < 5; ++c) m.at(r, c) = static_cast<byte_t>(rng.uniform_below(256));
-  EXPECT_EQ(m.multiply(id), m);
-  EXPECT_EQ(id.multiply(m), m);
+/// Row-major n x n product over GF(256).
+std::vector<byte_t> product(const std::vector<byte_t>& a, const std::vector<byte_t>& b,
+                            std::size_t n) {
+  std::vector<byte_t> out(n * n, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t j = 0; j < n; ++j)
+        out[i * n + j] = add(out[i * n + j], mul(a[i * n + k], b[k * n + j]));
+  return out;
+}
+
+std::vector<byte_t> identity(std::size_t n) {
+  std::vector<byte_t> id(n * n, 0);
+  for (std::size_t i = 0; i < n; ++i) id[i * n + i] = 1;
+  return id;
 }
 
 TEST(Matrix, InvertRoundTrip) {
+  // ec::independent_rows is the stack's one inversion: a full-rank square
+  // matrix keeps every row and comes back with its two-sided inverse.
   Rng rng(2);
+  std::vector<std::size_t> rows(6);
+  std::iota(rows.begin(), rows.end(), 0);
+  int inverted = 0;
   for (int round = 0; round < 20; ++round) {
-    Matrix m(6, 6);
-    for (std::size_t r = 0; r < 6; ++r)
-      for (std::size_t c = 0; c < 6; ++c) m.at(r, c) = static_cast<byte_t>(rng.uniform_below(256));
-    Matrix inv;
-    if (!m.invert(inv)) continue;  // singular random matrix: skip
-    EXPECT_EQ(m.multiply(inv), Matrix::identity(6));
-    EXPECT_EQ(inv.multiply(m), Matrix::identity(6));
+    std::vector<byte_t> m(36);
+    for (auto& b : m) b = static_cast<byte_t>(rng.uniform_below(256));
+    std::vector<byte_t> inv;
+    const auto kept = ec::independent_rows(6, m, rows, &inv);
+    if (kept.size() < 6) continue;  // singular random matrix: skip
+    ++inverted;
+    EXPECT_EQ(kept, rows);
+    EXPECT_EQ(product(m, inv, 6), identity(6));
+    EXPECT_EQ(product(inv, m, 6), identity(6));
   }
+  EXPECT_GT(inverted, 0);
 }
 
 TEST(Matrix, SingularDetected) {
-  Matrix m(3, 3);  // all zeros
-  Matrix inv;
-  EXPECT_FALSE(m.invert(inv));
+  const std::vector<std::size_t> rows{0, 1, 2};
+  std::vector<byte_t> inv;
+  EXPECT_TRUE(ec::independent_rows(3, std::vector<byte_t>(9, 0), rows, &inv).empty());
 
-  // Duplicate rows.
-  Matrix d(2, 2);
-  d.at(0, 0) = 3;
-  d.at(0, 1) = 7;
-  d.at(1, 0) = 3;
-  d.at(1, 1) = 7;
-  EXPECT_FALSE(d.invert(inv));
+  // Duplicate rows: only the first grows the rank.
+  const std::vector<byte_t> d{3, 7, 3, 7};
+  EXPECT_EQ(ec::independent_rows(2, d, std::vector<std::size_t>{0, 1}),
+            (std::vector<std::size_t>{0}));
 }
 
 TEST(Matrix, CauchySquareSubmatricesInvertible) {
-  // The MDS property hinges on this: any square submatrix of the Cauchy
-  // parity rows must be invertible.
-  const auto cauchy = Matrix::cauchy(4, 10);
-  Rng rng(3);
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t size = 1 + rng.uniform_below(4);
-    auto rows = rng.sample_without_replacement(4, size);
-    auto cols = rng.sample_without_replacement(10, size);
-    Matrix sub(size, size);
-    for (std::size_t r = 0; r < size; ++r)
-      for (std::size_t c = 0; c < size; ++c) sub.at(r, c) = cauchy.at(rows[r], cols[c]);
-    Matrix inv;
-    EXPECT_TRUE(sub.invert(inv)) << "round " << round;
+  // The MDS property hinges on every square submatrix of the Cauchy parity
+  // rows being invertible; equivalently, every pattern of at most p
+  // erasures of the systematic [I; C] generator decodes. Checked
+  // exhaustively for RS(10+4).
+  constexpr std::size_t k = 10, p = 4, n = k + p;
+  const auto cauchy = Matrix::cauchy(p, k);
+  std::vector<byte_t> gen(n * k, 0);
+  for (std::size_t i = 0; i < k; ++i) gen[i * k + i] = 1;
+  for (std::size_t r = 0; r < p; ++r)
+    for (std::size_t c = 0; c < k; ++c) gen[(k + r) * k + c] = cauchy.at(r, c);
+  std::size_t patterns = 0;
+  for (unsigned mask = 0; mask < (1U << n); ++mask) {
+    if (static_cast<std::size_t>(std::popcount(mask)) > p) continue;
+    std::vector<std::size_t> erased;
+    for (std::size_t i = 0; i < n; ++i)
+      if ((mask >> i) & 1U) erased.push_back(i);
+    EXPECT_TRUE(ec::DecodePlan(n, k, gen, erased).viable()) << "mask " << mask;
+    ++patterns;
   }
+  EXPECT_EQ(patterns, 1471u);  // sum of C(14, f) for f = 0..4
 }
 
 TEST(Matrix, CauchyRejectsOversize) {
   EXPECT_THROW(Matrix::cauchy(200, 100), PreconditionError);
-}
-
-TEST(Matrix, MultiplyDimensionMismatch) {
-  Matrix a(2, 3), b(2, 3);
-  EXPECT_THROW(a.multiply(b), PreconditionError);
-}
-
-TEST(Matrix, InvertRequiresSquare) {
-  Matrix a(2, 3), out;
-  EXPECT_THROW(a.invert(out), PreconditionError);
 }
 
 }  // namespace
