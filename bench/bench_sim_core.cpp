@@ -1,10 +1,11 @@
-// Throughput benchmark of the fleet-simulation core (zero-allocation
-// TrialArena, IndexedMinHeap with decrease-key/remove, batched ziggurat
-// exponential fills, shared immutable context, clustered rebuilds on a
-// closed-form clock): single-threaded trials/sec and ns per event on the
-// bundled crosscheck scenarios and on the paper's 57,600-disk topology
-// ((9+1)/(18+2) C/C, R_MIN, AFR 0.5, where every event is a disk failure).
-// Its history is recorded in EXPERIMENTS.md.
+// Throughput benchmark of the fleet-simulation core (pool-major missions:
+// each local pool walked on its own failure stream, pools coupled only at
+// catastrophes; batched ziggurat exponential fills, shared immutable
+// context, clustered rebuilds on a closed-form clock): single-threaded
+// trials/sec and ns per event (a walked failure) on the bundled crosscheck
+// scenarios and on the paper's 57,600-disk topology ((9+1)/(18+2) under
+// R_MIN at AFR 0.5, C/C and D/D). Its history is recorded in
+// EXPERIMENTS.md.
 //
 // A second table times stage 1 of the split estimator per mission. On
 // crosscheck_mlec's local pool it runs two ways in one process: the bare
@@ -27,7 +28,8 @@
 //                  BENCH_sim_core.json)
 //   --min-tps=X    exit 1 unless the core sustains at least X trials/sec on
 //                  each crosscheck scenario (CI regression floor; the
-//                  paper-scale row runs about 1k trials/sec and is not gated)
+//                  paper-scale rows run about 1k trials/sec and are not
+//                  gated)
 //   --max-stage1-ratio=X
 //                  exit 1 when the stage-1 campaign costs more than X times
 //                  the simulate_local_pool loop per mission (CI gate)
@@ -159,13 +161,14 @@ Scenario load(const std::string& path) {
   return load_scenario(IniFile::parse(in));
 }
 
-/// The paper's topology (60 racks x 8 enclosures x 120 disks), C/C under
-/// R_MIN, as bench/e2e's paper_scale workload runs it.
-Scenario paper_scale(const std::string& name, const std::string& code, double afr) {
+/// The paper's topology (60 racks x 8 enclosures x 120 disks) under R_MIN;
+/// C/C is how bench/e2e's paper_scale workload runs it.
+Scenario paper_scale(const std::string& name, const std::string& code, double afr,
+                     const std::string& scheme = "C/C") {
   return load_scenario(IniFile::parse_string(
       "[scenario]\nname = " + name +
       "\n[datacenter]\nracks = 60\nenclosures_per_rack = 8\ndisks_per_enclosure = 120\n"
-      "[code]\nmlec = " + code + "\nscheme = C/C\nrepair = R_MIN\n"
+      "[code]\nmlec = " + code + "\nscheme = " + scheme + "\nrepair = R_MIN\n"
       "[failures]\nafr = " + std::to_string(afr) + "\n[sim]\nseed = 2023\n"));
 }
 
@@ -254,8 +257,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "# fleet-sim core (indexed heap + trial arena + batched RNG),"
-               " single-threaded\n\n";
+  std::cout << "# fleet-sim core (pool-major missions + batched RNG), single-threaded\n\n";
 
   std::vector<ScenarioRow> rows;
   bool floor_ok = true;
@@ -264,9 +266,13 @@ int main(int argc, char** argv) {
     rows.push_back(measure(load(scenario_dir + "/" + file), quick ? 300 : 20000, quick ? 2 : 7));
     if (min_tps > 0.0 && rows.back().trials_per_sec < min_tps) floor_ok = false;
   }
-  // About 24,000 events per mission, so even the quick size times ~1M events.
+  // About 28,800 failures per mission, so even the quick size times ~1M
+  // events. Declustered pools walk their piecewise rebuild segments inside
+  // each failure's advance, so a D/D mission costs a few times a C/C one.
   rows.push_back(measure(paper_scale("paper-scale-(9+1)/(18+2)", "(9+1)/(18+2)", 0.5),
                          quick ? 50 : 400, quick ? 2 : 7));
+  rows.push_back(measure(paper_scale("paper-scale-D/D-(9+1)/(18+2)", "(9+1)/(18+2)", 0.5, "D/D"),
+                         quick ? 20 : 200, quick ? 2 : 7));
 
   Table t({"scenario", "missions", "reps", "trials/s", "median trials/s", "events/s", "ns/event",
            "pdl"});

@@ -13,8 +13,11 @@
 // (declustered), thinned by the stripe-coverage probability for the
 // chunk-aware repair methods (the paper's §4.2.3 F#1).
 //
-// Failure sources merged into one mission timeline: exponential lifetimes
-// drawn from `failures.afr`, injected bursts, and replayed traces.
+// A mission is pool-major (DESIGN.md §10): it walks each local pool on its
+// own exponential failure stream, merged with the pool's injected bursts or
+// replayed trace events, and records only catastrophes and the failures
+// that deepen them; a second phase replays those records in fleet time
+// order to test the network-level overlaps.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +71,11 @@ struct FleetSimResult {
   RunningStats catastrophe_exposure_hours;
   /// Cross-rack repair traffic accumulated over all missions (TB).
   double cross_rack_tb = 0;
-  /// Perf counters (DESIGN.md §10): discrete events processed (pool events
-  /// plus disk failures), RNG variates drawn (batch refills included), and
-  /// arena slot-storage growths after warm-up (0 in steady state).
+  /// Perf counters (DESIGN.md §10): failures walked (every failure of the
+  /// mission, including any after a stopping loss) and RNG variates drawn
+  /// (batch refills included).
   std::uint64_t events_processed = 0;
   std::uint64_t rng_draws = 0;
-  std::uint64_t arena_allocations = 0;
 
   double pdl() const {
     return missions ? static_cast<double>(data_loss_missions) / static_cast<double>(missions)
@@ -86,7 +88,8 @@ struct FleetSimResult {
 /// Immutable per-run constants of the fleet simulator: validated config,
 /// pool layout/indexing, failure rates, and the finalized PoolRepairModel
 /// lookup tables. Built once and shared read-only across every engine of
-/// a campaign instead of being recomputed per engine. Opaque: the definition lives in fleet_sim.cpp.
+/// a campaign instead of being recomputed per engine. Opaque: the
+/// definition lives in fleet_sim.cpp.
 class FleetSimContext;
 
 /// Build (and validate) the shared context for `config`.
@@ -102,9 +105,8 @@ FleetSimResult simulate_fleet(const FleetSimConfig& config, std::uint64_t missio
 /// One-mission-at-a-time view of the fleet simulator, exposed for the
 /// campaign runner: the engine owns the precomputed per-run constants and
 /// its own mutable pool state; the caller owns the Rng (so a campaign
-/// worker can re-seat it on each block's substream). Apart from the
-/// arena-growth perf counter, a mission's result does not depend on the
-/// missions the engine ran before it.
+/// worker can re-seat it on each block's substream). A mission's result
+/// does not depend on the missions the engine ran before it.
 class FleetMissionEngine {
  public:
   explicit FleetMissionEngine(const FleetSimConfig& config);

@@ -82,9 +82,8 @@ struct Estimate {
   std::string degrade_note;  ///< human-readable account of what was lost
 
   // Perf counters (campaign-backed methods; zero for the closed forms).
-  std::uint64_t events_processed = 0;  ///< discrete sim events handled
+  std::uint64_t events_processed = 0;  ///< sim events handled (sim: failures walked)
   std::uint64_t rng_draws = 0;         ///< RNG variates consumed
-  std::uint64_t arena_allocations = 0; ///< arena growths after warm-up (sim)
   double elapsed_s = 0.0;              ///< campaign wall-clock seconds
   /// Full campaign report — per-worker done/elapsed drives the `--perf`
   /// trials-per-second table. No rows for the analytic methods.

@@ -137,7 +137,6 @@ class SimEstimator final : public Estimator {
     e.cross_rack_tb = fleet.cross_rack_tb;
     e.events_processed = fleet.events_processed;
     e.rng_draws = fleet.rng_draws;
-    e.arena_allocations = fleet.arena_allocations;
     finish_campaign_estimate(e, std::move(report), options.degrade);
     return e;
   }

@@ -13,8 +13,10 @@ std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
   // journal written under another one must not resume into this one. v2:
   // batched inter-failure gaps. v3: exponential gaps from the ziggurat, not
   // the inverse CDF. v4: clustered rebuilds on the closed-form clock. v5:
-  // block b draws from substream b, whatever worker runs it.
-  os << "fleet-v5;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
+  // block b draws from substream b, whatever worker runs it. v6: each local
+  // pool walks its own failure stream, pools coupled only at catastrophes,
+  // and no arena_allocations slot.
+  os << "fleet-v6;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
      << config.dc.disks_per_enclosure << ";disk_tb=" << config.dc.disk_capacity_tb
      << ";chunk_kb=" << config.dc.chunk_kb << ";code=" << config.code.notation()
      << ";scheme=" << to_string(config.scheme) << ";method=" << to_string(config.method)
@@ -47,8 +49,8 @@ std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
   // v1 journals name another RNG schedule and must not resume. v3:
   // clustered rebuilds on the closed-form clock, with failures as the only
   // clustered events. v4: block b draws from substream b, whatever worker
-  // runs it.
-  os << "localpool-v4;code=" << config.code.k << '+' << config.code.p << ";placement="
+  // runs it. v5: failures are the only declustered events too.
+  os << "localpool-v5;code=" << config.code.k << '+' << config.code.p << ";placement="
      << (config.placement == Placement::kClustered ? 'C' : 'D') << ";disks=" << config.pool_disks
      << ";disk_tb=" << config.disk_capacity_tb << ";chunk_kb=" << config.chunk_kb
      << ";afr=" << config.afr << ";detect=" << config.detection_hours

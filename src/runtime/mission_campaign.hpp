@@ -191,7 +191,6 @@ struct MissionSchema<FleetSimResult> {
       stats_slot("catastrophe_exposure_hours", &FleetSimResult::catastrophe_exposure_hours),
       counter_slot("events_processed", &FleetSimResult::events_processed),
       counter_slot("rng_draws", &FleetSimResult::rng_draws),
-      counter_slot("arena_allocations", &FleetSimResult::arena_allocations),
   };
   /// The PDL estimate's relative standard error: Bernoulli on loss missions.
   static double rse(const FleetSimResult& s) {

@@ -51,7 +51,6 @@ json::Value estimate_to_json(const Estimate& e) {
   v.set("degrade_note", e.degrade_note);
   v.set("events_processed", json::u64_to_string(e.events_processed));
   v.set("rng_draws", json::u64_to_string(e.rng_draws));
-  v.set("arena_allocations", json::u64_to_string(e.arena_allocations));
   v.set("elapsed_s", e.elapsed_s);
   return v;
 }
@@ -77,7 +76,6 @@ Estimate estimate_from_json(const json::Value& v) {
   e.degrade_note = v.str_or("degrade_note", "");
   e.events_processed = json::u64_from_string(v.str_or("events_processed", "0"));
   e.rng_draws = json::u64_from_string(v.str_or("rng_draws", "0"));
-  e.arena_allocations = json::u64_from_string(v.str_or("arena_allocations", "0"));
   e.elapsed_s = v.num_or("elapsed_s", 0.0);
   return e;
 }

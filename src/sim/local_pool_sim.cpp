@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "math/combin.hpp"
 #include "sim/pool_state.hpp"
@@ -59,28 +58,16 @@ void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
   };
 
   // The pool state is reused across missions: reset() keeps the failure
-  // vector's capacity, so the mission loop allocates nothing.
-  double t = 0.0;
-  double next_fail = rng.exponential(pool_rate_);
-  ++into.rng_draws;
+  // vector's capacity, so the mission loop allocates nothing. Nothing
+  // observable happens between arrivals: advance_to walks the detections
+  // and completions in between (declustered segments included) and reports
+  // each completion at its own time.
   pool_.reset();
-
-  while (true) {
-    // Earliest upcoming event: a failure arrival or, in a declustered pool,
-    // the pool's own next detection or completion, whose interlocking rates
-    // the shared state machine steps through. Clustered rebuilds run on a
-    // closed-form clock, so nothing happens between arrivals.
-    const double next_event = model_.clustered
-                                  ? next_fail
-                                  : std::min(next_fail, pool_.next_event_after(t, model_));
-    if (next_event >= mission_hours_) break;
-    pool_.advance_to(next_event, model_, record_repair);
-    t = next_event;
+  double t = rng.exponential(pool_rate_);
+  ++into.rng_draws;
+  for (; t < mission_hours_; t += rng.exponential(pool_rate_), ++into.rng_draws) {
+    pool_.advance_to(t, model_, record_repair);
     ++into.events_processed;
-    if (next_event < next_fail) continue;  // detection/completion handled above
-
-    next_fail = t + rng.exponential(pool_rate_);
-    ++into.rng_draws;
     pool_.add_failure(t, model_);
 
     if (pool_.catastrophic(t, model_)) {
@@ -99,7 +86,7 @@ void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
       pool_.extend_critical_window(t, model_);
     }
   }
-  // Record the rebuilds that finish after the last event but within the
+  // Record the rebuilds that finish after the last failure but within the
   // mission.
   pool_.advance_to(mission_hours_, model_, record_repair);
 }

@@ -75,8 +75,8 @@ struct LocalPoolSimResult {
   double pool_years = 0.0;  ///< total simulated pool-time in years
   std::vector<CatastropheSample> samples;
   RunningStats single_disk_repair_hours;  ///< observed per-disk rebuild times
-  /// Perf counters: discrete events processed (failures, plus detections
-  /// and completions in declustered pools) and RNG variates drawn.
+  /// Perf counters: events processed (failures, the only events) and RNG
+  /// variates drawn.
   std::uint64_t events_processed = 0;
   std::uint64_t rng_draws = 0;
 

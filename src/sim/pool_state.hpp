@@ -199,23 +199,6 @@ struct LocalPoolState {
     return 1.0 - max_progress;
   }
 
-  /// Earliest intrinsic event (detection or rebuild completion) after t;
-  /// +inf when nothing is pending. Rates are evaluated at t, matching the
-  /// piecewise-constant advancement.
-  double next_event_after(double t, const PoolRepairModel& m) const {
-    if (failures.empty()) return std::numeric_limits<double>::infinity();
-    std::size_t detected = 0;
-    for (const auto& f : failures) detected += f.detect_at <= t ? 1 : 0;
-    const double rate = m.per_failure_rate_tb_h(failures.size(), detected);
-    double next = std::numeric_limits<double>::infinity();
-    for (const auto& f : failures) {
-      if (f.detect_at > t) next = std::min(next, f.detect_at);
-      else if (rate > 0.0)
-        next = std::min(next, t + f.remaining_tb / rate);
-    }
-    return next;
-  }
-
   /// Progress rebuilds from last_advance to t, invoking
   /// on_complete(start_time, finish_time) for each rebuild that finishes.
   ///

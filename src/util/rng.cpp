@@ -21,17 +21,19 @@ Rng::Rng(std::uint64_t seed) {
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) state_[0] = 1;
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
+inline std::uint64_t Rng::step(std::array<std::uint64_t, 4>& s) {
+  const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = std::rotl(s[3], 45);
   return result;
 }
+
+Rng::result_type Rng::operator()() { return step(state_); }
 
 Rng Rng::split() { return Rng((*this)() ^ 0xd1b54a32d192ed03ULL); }
 
@@ -103,21 +105,30 @@ const ExponentialZiggurat& ziggurat_tables() {
 
 const ExponentialZiggurat& exponential_ziggurat() { return ziggurat_tables(); }
 
-// Inline so the accept-at-once path compiles into exponential() and the
-// fill loop without a call per draw.
-inline double Rng::standard_exponential() {
+double Rng::standard_exponential_miss(std::uint64_t bits) {
   const ExponentialZiggurat& z = ziggurat_tables();
   while (true) {
-    const std::uint64_t bits = (*this)();
     const auto i = static_cast<std::size_t>(bits & 0xff);
-    // The top 53 bits scaled by x[i] * 2^-53: u * x[i] with u in [0, 1).
     const double x = static_cast<double>(bits >> 11) * z.w[i];
-    if (x < z.x[i + 1]) [[likely]] return x;
+    if (x < z.x[i + 1]) return x;
     // Base layer beyond r: the tail, r + Exp(1) by memorylessness.
     if (i == 0) return ExponentialZiggurat::kR - std::log1p(-uniform());
     // Wedge between the rectangle under layer i+1 and the curve.
     if (z.f[i] + (z.f[i + 1] - z.f[i]) * uniform() < std::exp(-x)) return x;
+    bits = (*this)();
   }
+}
+
+// Inline so the accept-at-once path compiles into exponential() and the
+// fill loop without a call per draw; the rare path stays out of line.
+inline double Rng::standard_exponential() {
+  const ExponentialZiggurat& z = ziggurat_tables();
+  const std::uint64_t bits = (*this)();
+  const auto i = static_cast<std::size_t>(bits & 0xff);
+  // The top 53 bits scaled by x[i] * 2^-53: u * x[i] with u in [0, 1).
+  const double x = static_cast<double>(bits >> 11) * z.w[i];
+  if (x < z.x[i + 1]) [[likely]] return x;
+  return standard_exponential_miss(bits);
 }
 
 double Rng::exponential(double rate) {
@@ -133,9 +144,25 @@ void Rng::uniform_fill(std::span<double> out) {
 
 void Rng::exponential_fill(std::span<double> out, double rate) {
   MLEC_REQUIRE(rate > 0.0, "exponential rate must be positive");
-  // Same expression as exponential(): dividing (not multiplying by a
-  // precomputed reciprocal) keeps the fill bit-identical to single draws.
-  for (double& v : out) v = standard_exponential() / rate;
+  // The accept-at-once path of standard_exponential() on a local copy of
+  // the state, which stays in registers; a miss syncs the copy around the
+  // out-of-line rare path. Same words, same expression as exponential():
+  // dividing (not multiplying by a precomputed reciprocal) keeps the fill
+  // bit-identical to single draws.
+  const ExponentialZiggurat& z = ziggurat_tables();
+  std::array<std::uint64_t, 4> s = state_;
+  for (double& v : out) {
+    const std::uint64_t bits = step(s);
+    const auto i = static_cast<std::size_t>(bits & 0xff);
+    double x = static_cast<double>(bits >> 11) * z.w[i];
+    if (!(x < z.x[i + 1])) [[unlikely]] {
+      state_ = s;
+      x = standard_exponential_miss(bits);
+      s = state_;
+    }
+    v = x / rate;
+  }
+  state_ = s;
 }
 
 bool Rng::bernoulli(double p) {

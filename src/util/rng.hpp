@@ -93,6 +93,12 @@ class Rng {
  private:
   /// Exp(1) variate by the exponential ziggurat (see ExponentialZiggurat).
   double standard_exponential();
+  /// The ziggurat's rare path, for a word `bits` that missed its layer's
+  /// rectangle: the tail, the wedge test, and the redraws after a rejection.
+  double standard_exponential_miss(std::uint64_t bits);
+
+  /// One xoshiro256** step on `s`, returning the output word.
+  static std::uint64_t step(std::array<std::uint64_t, 4>& s);
 
   std::array<std::uint64_t, 4> state_;
 };

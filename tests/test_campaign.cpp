@@ -940,12 +940,12 @@ TEST(Campaign, ResumeRefusesJournalsOfTheInverseCdfSampler) {
   // two streams.
   const auto fleet = small_fleet();
   expect_old_schedule_refused(
-      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v5", "fleet-v2",
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v6", "fleet-v2",
       [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
 
   const LocalPoolSimConfig pool = hot_pool();
   expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
-                              "localpool-v4", "localpool-v1",
+                              "localpool-v5", "localpool-v1",
                               [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
                                 return run_local_pool_campaign(c, k);
                               });
@@ -957,12 +957,30 @@ TEST(Campaign, ResumeRefusesJournalsOfTheSteppedClusteredClock) {
   // journals count detections and completions as events.
   const auto fleet = small_fleet();
   expect_old_schedule_refused(
-      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v5", "fleet-v3",
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v6", "fleet-v3",
       [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
 
   const LocalPoolSimConfig pool = hot_pool();
   expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
-                              "localpool-v4", "localpool-v2",
+                              "localpool-v5", "localpool-v2",
+                              [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
+                                return run_local_pool_campaign(c, k);
+                              });
+}
+
+TEST(Campaign, ResumeRefusesJournalsOfTheFleetWideFailureStream) {
+  // Fleet journals written while one failure stream fed the whole fleet
+  // hold RNG states of another draw schedule (and an arena_allocations
+  // slot); stage-1 journals count declustered detections and completions
+  // as events.
+  const auto fleet = small_fleet();
+  expect_old_schedule_refused(
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v6", "fleet-v5",
+      [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
+
+  const LocalPoolSimConfig pool = hot_pool();
+  expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
+                              "localpool-v5", "localpool-v4",
                               [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
                                 return run_local_pool_campaign(c, k);
                               });
@@ -989,7 +1007,7 @@ TEST(Campaign, JournalBytesArePinned) {
   FleetSimConfig fleet = small_fleet();
   fleet.failures.afr = 2.0;  // a few losses, so every fleet slot holds data
   ASSERT_TRUE(run_fleet_campaign(fleet, campaign).report.complete());
-  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0x1baa5cab3095a042ULL);
+  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0xb499ef6bc59c4db4ULL);
   std::remove(campaign.checkpoint_path.c_str());
 
   LocalPoolSimConfig pool;
@@ -1001,7 +1019,7 @@ TEST(Campaign, JournalBytesArePinned) {
   campaign.checkpoint_path = temp_path("pinned_localpool.bin");
   std::remove(campaign.checkpoint_path.c_str());
   ASSERT_TRUE(run_local_pool_campaign(pool, campaign).report.complete());
-  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0x6048807a85bcb590ULL);
+  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0xe82beb2d01d0aecfULL);
   std::remove(campaign.checkpoint_path.c_str());
 }
 

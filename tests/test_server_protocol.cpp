@@ -125,7 +125,6 @@ TEST(Protocol, EstimateRoundTripsBitExactly) {
   est.degrade_note = "2 shards quarantined";
   est.events_processed = (std::uint64_t{1} << 61) + 1;
   est.rng_draws = (std::uint64_t{1} << 62) + 7;
-  est.arena_allocations = 3;
   est.elapsed_s = 1.5;
 
   const Estimate back = estimate_from_json(estimate_to_json(est));
@@ -148,7 +147,6 @@ TEST(Protocol, EstimateRoundTripsBitExactly) {
   EXPECT_EQ(back.degrade_note, est.degrade_note);
   EXPECT_EQ(back.events_processed, est.events_processed);
   EXPECT_EQ(back.rng_draws, est.rng_draws);
-  EXPECT_EQ(back.arena_allocations, est.arena_allocations);
   EXPECT_EQ(back.elapsed_s, est.elapsed_s);
 }
 

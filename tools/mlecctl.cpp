@@ -306,7 +306,7 @@ int cmd_analyze(const Options& opt) {
 /// Per-worker throughput plus the sim-core counters for one campaign-backed
 /// run (`--perf`).
 void print_perf(const std::string& title, const CampaignReport& rep, std::uint64_t trials,
-                std::uint64_t events, std::uint64_t rng_draws, std::uint64_t arena_allocs) {
+                std::uint64_t events, std::uint64_t rng_draws) {
   Table t({"worker", "trials", "elapsed_s", "trials/s"});
   for (const auto& s : rep.shards)
     t.add_row({std::to_string(s.shard), std::to_string(s.done), Table::num(s.elapsed_s, 3),
@@ -318,8 +318,7 @@ void print_perf(const std::string& title, const CampaignReport& rep, std::uint64
   if (rep.elapsed_s > 0.0)
     std::cout << " (" << Table::num(static_cast<double>(trials) / rep.elapsed_s, 0)
               << " trials/s)";
-  std::cout << ", " << events << " events, " << rng_draws << " RNG draws, " << arena_allocs
-            << " arena allocations\n";
+  std::cout << ", " << events << " events, " << rng_draws << " RNG draws\n";
 }
 
 int cmd_estimate(const Options& opt) {
@@ -350,8 +349,7 @@ int cmd_estimate(const Options& opt) {
     for (const auto& row : report.rows) {
       if (!row.ran() || row.estimate.campaign.shards.empty()) continue;
       print_perf("perf, method " + row.method, row.estimate.campaign, row.estimate.samples,
-                 row.estimate.events_processed, row.estimate.rng_draws,
-                 row.estimate.arena_allocations);
+                 row.estimate.events_processed, row.estimate.rng_draws);
     }
   }
   if (report.methods_run() == 0) {
