@@ -17,8 +17,10 @@
 //
 // Every timing is repeated; the JSON records the host (CPU model, nproc,
 // compiler, build type, EC backend), the repetition count, and the minimum
-// and median of each timing. Throughputs and the stage-1 ratio are taken
-// from the minima, which discard preemption and frequency ramps.
+// and quartiles of each timing. Throughputs and the stage-1 ratio are taken
+// from the minima, which discard preemption and frequency ramps. At full
+// size each repetition runs 30 ms or more and the rows repeat 7-25 times,
+// so the quartiles resolve a difference of about 10% between two builds.
 //
 //   bench_sim_core [--quick] [--json[=PATH]] [--min-tps=X]
 //                  [--max-stage1-ratio=X] [--scenario-dir=DIR]
@@ -54,17 +56,27 @@ namespace {
 
 using namespace mlec;
 
-/// Minimum and median of one timing's repetitions.
+/// Minimum and quartiles of one timing's repetitions.
 struct Spread {
   double min = 0.0;
+  double q1 = 0.0;
   double median = 0.0;
+  double q3 = 0.0;
+
+  /// Interquartile range relative to the median.
+  double relative_iqr() const { return median > 0.0 ? (q3 - q1) / median : 0.0; }
 };
 
 Spread spread_of(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  return {samples.front(),
-          n % 2 == 1 ? samples[n / 2] : 0.5 * (samples[n / 2 - 1] + samples[n / 2])};
+  // Linear interpolation between the order statistics around fraction f.
+  auto quantile = [&](double f) {
+    const double pos = f * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {samples.front(), quantile(0.25), quantile(0.5), quantile(0.75)};
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -196,7 +208,8 @@ std::string compiler() {
 std::string spread_json(const Spread& s) {
   std::ostringstream os;
   os.precision(6);
-  os << "{\"min\": " << s.min << ", \"median\": " << s.median << "}";
+  os << "{\"min\": " << s.min << ", \"q1\": " << s.q1 << ", \"median\": " << s.median
+     << ", \"q3\": " << s.q3 << "}";
   return os.str();
 }
 
@@ -262,40 +275,44 @@ int main(int argc, char** argv) {
   std::vector<ScenarioRow> rows;
   bool floor_ok = true;
   for (const char* file : {"crosscheck_mlec.ini", "crosscheck_slec.ini"}) {
-    // Full size: 10-30 ms per repetition, far above the timer resolution.
-    rows.push_back(measure(load(scenario_dir + "/" + file), quick ? 300 : 20000, quick ? 2 : 7));
+    // Full size: 50-150 ms per repetition, far above the timer resolution
+    // and long enough that one preemption moves a repetition by little.
+    rows.push_back(
+        measure(load(scenario_dir + "/" + file), quick ? 300 : 100'000, quick ? 2 : 25));
     if (min_tps > 0.0 && rows.back().trials_per_sec < min_tps) floor_ok = false;
   }
   // About 28,800 failures per mission, so even the quick size times ~1M
   // events. Declustered pools walk their piecewise rebuild segments inside
   // each failure's advance, so a D/D mission costs a few times a C/C one.
   rows.push_back(measure(paper_scale("paper-scale-(9+1)/(18+2)", "(9+1)/(18+2)", 0.5),
-                         quick ? 50 : 400, quick ? 2 : 7));
+                         quick ? 50 : 400, quick ? 2 : 11));
   rows.push_back(measure(paper_scale("paper-scale-D/D-(9+1)/(18+2)", "(9+1)/(18+2)", 0.5, "D/D"),
                          quick ? 20 : 200, quick ? 2 : 7));
 
-  Table t({"scenario", "missions", "reps", "trials/s", "median trials/s", "events/s", "ns/event",
-           "pdl"});
+  Table t({"scenario", "missions", "reps", "trials/s", "median trials/s", "iqr %", "events/s",
+           "ns/event", "pdl"});
   for (const auto& r : rows)
     t.add_row({r.name, std::to_string(r.missions), std::to_string(r.reps),
                Table::num(r.trials_per_sec, 1),
                Table::num(static_cast<double>(r.missions) / r.elapsed_s.median, 1),
+               Table::num(100.0 * r.elapsed_s.relative_iqr(), 1),
                Table::num(r.events_per_sec, 0), Table::num(r.ns_per_event(), 1),
                Table::num(r.result.pdl(), 4)});
   std::cout << t.to_ascii("trials/sec at the fastest repetition, higher is better") << '\n';
 
-  const std::uint64_t stage1_missions = quick ? 100'000 : 500'000;
-  const int stage1_reps = quick ? 3 : 7;
+  const std::uint64_t stage1_missions = quick ? 100'000 : 1'000'000;
+  const int stage1_reps = quick ? 3 : 15;
   const std::vector<Stage1Row> stage1{
       measure_stage1(load(scenario_dir + "/crosscheck_mlec.ini"), stage1_missions, stage1_reps,
                      true),
       measure_stage1(paper_scale("paper-scale-(17+3)", "(10+2)/(17+3)", 0.3), stage1_missions,
                      stage1_reps, false)};
-  Table s({"scenario", "missions", "reps", "loop_us/mission", "median", "events/mission",
-           "campaign_us/mission", "median", "ratio"});
+  Table s({"scenario", "missions", "reps", "loop_us/mission", "median", "iqr %",
+           "events/mission", "campaign_us/mission", "median", "ratio"});
   for (const auto& r : stage1)
     s.add_row({r.name, std::to_string(r.missions), std::to_string(r.reps),
                Table::num(r.loop_us.min, 4), Table::num(r.loop_us.median, 4),
+               Table::num(100.0 * r.loop_us.relative_iqr(), 1),
                Table::num(r.events_per_mission, 2),
                r.with_campaign ? Table::num(r.campaign_us.min, 4) : "-",
                r.with_campaign ? Table::num(r.campaign_us.median, 4) : "-",

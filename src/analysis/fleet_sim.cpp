@@ -207,9 +207,6 @@ struct Catastrophe {
   double volume_tb;  ///< network-rebuilt volume
 };
 
-/// A failure's place in fleet time order: (time, tie order).
-using TimeOrder = std::pair<double, std::uint64_t>;
-
 /// A failure that couples pools: the one that makes a pool catastrophic
 /// (`opens`), or a later one landing on the pool before its network repair
 /// ends, which deepens the damage.
@@ -234,14 +231,6 @@ struct Coupling {
 /// would leak one block's draws into the next and tie the answer to which
 /// worker ran which block.
 constexpr std::size_t kExpBatch = 128;
-
-/// A fleet whose missions expect at most this many failures logs each
-/// failure's (time, order), so a mission that stops on a loss counts its
-/// failures from the log; a larger fleet redraws its gaps instead. Logging
-/// was faster at every size measured; the cap holds the log, 16 bytes per
-/// failure, near 16 KB per engine (EXPERIMENTS.md, "Counting failures up
-/// to a stopping loss").
-constexpr double kLoggedFailuresPerMission = 1024.0;
 
 }  // namespace
 
@@ -275,41 +264,16 @@ struct FleetMissionEngine::Impl {
   std::vector<double> exp_buf_ = std::vector<double>(kExpBatch);
   std::size_t exp_pos_ = 0;
   std::size_t exp_len_ = 0;
-  /// Whether missions log their failures, and the mission's log.
-  const bool log_failures_;
-  std::vector<TimeOrder> failure_log_;
 
   explicit Impl(std::shared_ptr<const FleetSimContext> context)
-      : context_(std::move(context)), ctx_(*context_), log_failures_(logs_failures(ctx_)) {}
-
-  static bool logs_failures(const FleetSimContext& ctx) {
-    const double expected = static_cast<double>(ctx.total_pools) * ctx.pool_rate *
-                                ctx.cfg.mission_hours +
-                            static_cast<double>(ctx.cfg.injected_events.size());
-    return expected <= kLoggedFailuresPerMission;
-  }
+      : context_(std::move(context)), ctx_(*context_) {}
 
   void run(Rng& mission_rng, FleetSimResult& into) {
     rng_ = &mission_rng;
     result_ = &into;
     ++into.missions;
-    const Rng at_start = mission_rng;
-    const std::uint64_t walked = walk_pools();
-    into.events_processed += walked;
-    const Coupling* stop = replay_couplings();
-    if (stop == nullptr) {
-      into.disk_failures += walked;
-      return;
-    }
-    // The mission ended at its first loss: count only the failures up to
-    // and including the lossy one, from the log or by redrawing phase 1's
-    // gaps on a copy of the mission's starting Rng.
-    const TimeOrder stop_key{stop->time, stop->order};
-    if (log_failures_) {
-      for (const auto& failure : failure_log_) into.disk_failures += precedes(failure, stop_key);
-    } else {
-      into.disk_failures += failures_through(at_start, stop_key);
-    }
+    into.events_processed += walk_pools();
+    replay_couplings();
   }
 
   /// Phase 1. Returns the failures walked.
@@ -321,14 +285,13 @@ struct FleetMissionEngine::Impl {
     const std::uint32_t* const filed_begin = ctx_.injected_begin.data();
     cats_.clear();
     couplings_.clear();
-    failure_log_.clear();
     exp_pos_ = exp_len_ = 0;
     std::uint64_t walked = 0;
     double next_fail = next_gap(0.0, 0);
     for (std::uint32_t pool = 0; pool < ctx_.total_pools; ++pool, next_fail -= mission) {
       const InjectedFailure* inj = filed + filed_begin[pool];
       const InjectedFailure* const inj_end = filed + filed_begin[pool + 1];
-      state_.reset();
+      state_.reset(model);
       double repair_until = -std::numeric_limits<double>::infinity();
       while (true) {
         const bool injected = inj != inj_end && inj->time <= next_fail;
@@ -342,31 +305,25 @@ struct FleetMissionEngine::Impl {
           order = n_injected + pool;
           next_fail = t + next_gap(t, pool);
         }
-        if (log_failures_) failure_log_.emplace_back(t, order);
         ++walked;
         if (t < repair_until) {
           // Network repair owns the pool: the failure deepens the damage.
           couple(t, order, cats_.size() - 1, false);
           continue;
         }
-        state_.advance_to(t, model);
-        state_.add_failure(t, model);
-        if (!state_.catastrophic(t, model)) {
-          state_.extend_critical_window(t, model);
-          continue;
-        }
+        if (!state_.fail(t, model)) continue;
         // Catastrophic local pool: realized state, network exposure; the
         // pool restarts fresh once its network repair ends.
-        const std::size_t f_after = state_.failures.size();
+        const std::size_t f_after = state_.concurrent_failures(model);
         const double frac = state_.lost_stripe_fraction(model);
-        const double volume = ctx_.network_volume_tb(state_.unrebuilt_tb(), f_after, frac);
+        const double volume = ctx_.network_volume_tb(state_.unrebuilt_tb(model), f_after, frac);
         const double exposure = ctx_.cfg.detection_hours + volume / ctx_.net_bw_tb_h;
         repair_until = t + exposure;
         couple(t, order, cats_.size(), true);
         const RackId rack = ctx_.rack_of_pool(pool);
         const std::uint32_t network_pool = ctx_.network_pool_of(pool);
         cats_.push_back({pool, rack, network_pool, repair_until, frac, f_after, exposure, volume});
-        state_.reset();
+        state_.reset(model);
       }
     }
     return walked;
@@ -378,10 +335,10 @@ struct FleetMissionEngine::Impl {
     couplings_.push_back({t, order, seq, static_cast<std::uint32_t>(cat), opens});
   }
 
-  /// Phase 2: the recorded couplings in fleet time order. Returns the
-  /// lossy coupling the mission stopped at, or nullptr.
-  const Coupling* replay_couplings() {
-    if (couplings_.empty()) return nullptr;
+  /// Phase 2: the recorded couplings in fleet time order, up to the first
+  /// loss under stop_on_loss.
+  void replay_couplings() {
+    if (couplings_.empty()) return;
     std::sort(couplings_.begin(), couplings_.end());
     active_.clear();
     bool lost_this_mission = false;
@@ -418,40 +375,8 @@ struct FleetMissionEngine::Impl {
         ++result_->data_loss_missions;
         result_->loss_time_hours.add(t);
       }
-      if (ctx_.cfg.stop_on_loss) return &e;
+      if (ctx_.cfg.stop_on_loss) return;
     }
-    return nullptr;
-  }
-
-  /// Failures of the mission at or before `stop` in fleet time order,
-  /// redrawing phase 1's gap sequence on `replay`, a copy of the mission's
-  /// starting Rng. The redraw repeats variates counted once already, so it
-  /// leaves rng_draws as it found it.
-  std::uint64_t failures_through(Rng replay, TimeOrder stop) {
-    rng_ = &replay;
-    const std::uint64_t draws = result_->rng_draws;
-    const double mission = ctx_.cfg.mission_hours;
-    const std::uint64_t n_injected = ctx_.cfg.injected_events.size();
-    std::uint64_t count = 0;
-    for (std::size_t i = 0; i < n_injected; ++i) {
-      const double t = ctx_.cfg.injected_events[i].time_hours;
-      if (t >= mission) break;
-      count += precedes({t, i}, stop);
-    }
-    exp_pos_ = exp_len_ = 0;
-    double t = next_gap(0.0, 0);
-    for (std::uint32_t pool = 0; pool < ctx_.total_pools; ++pool, t -= mission)
-      for (; t < mission; t += next_gap(t, pool)) count += precedes({t, n_injected + pool}, stop);
-    result_->rng_draws = draws;
-    return count;
-  }
-
-  /// 1 when failure `f` comes at or before `stop` in (time, order); written
-  /// without branches, which these data-dependent comparisons mispredict.
-  static std::uint64_t precedes(TimeOrder f, TimeOrder stop) {
-    const auto earlier = static_cast<std::uint64_t>(f.first < stop.first);
-    const auto not_later = static_cast<std::uint64_t>(!(stop.first < f.first));
-    return earlier | (not_later & static_cast<std::uint64_t>(f.second <= stop.second));
   }
 
   /// Next inter-failure gap from the batch buffer, refilling (and counting

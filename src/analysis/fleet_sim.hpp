@@ -65,7 +65,6 @@ struct FleetSimResult {
   std::uint64_t missions = 0;
   std::uint64_t data_loss_missions = 0;
   std::uint64_t data_loss_events = 0;
-  std::uint64_t disk_failures = 0;
   std::uint64_t catastrophic_pool_events = 0;
   RunningStats loss_time_hours;
   RunningStats catastrophe_exposure_hours;

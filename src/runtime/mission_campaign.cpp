@@ -15,8 +15,8 @@ std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
   // the inverse CDF. v4: clustered rebuilds on the closed-form clock. v5:
   // block b draws from substream b, whatever worker runs it. v6: each local
   // pool walks its own failure stream, pools coupled only at catastrophes,
-  // and no arena_allocations slot.
-  os << "fleet-v6;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
+  // and no arena_allocations slot. v7: no disk_failures slot.
+  os << "fleet-v7;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
      << config.dc.disks_per_enclosure << ";disk_tb=" << config.dc.disk_capacity_tb
      << ";chunk_kb=" << config.dc.chunk_kb << ";code=" << config.code.notation()
      << ";scheme=" << to_string(config.scheme) << ";method=" << to_string(config.method)

@@ -160,7 +160,10 @@ MissionCampaignResult<Summary> run_mission_campaign(CampaignConfig campaign, Mak
     auto one = std::make_shared<typename Schema::Mission>();
     return [engine, slots, one, &rng](CampaignAccumulator& acc) {
       if (!*slots) slots->emplace(acc);  // the worker's one accumulator
-      *one = {};
+      if constexpr (requires { one->clear(); })
+        one->clear();  // keeps the buffers' capacity
+      else
+        *one = {};
       engine->run_mission(rng, *one);
       if constexpr (std::is_same_v<typename Schema::Mission, Summary>)
         (*slots)->fold(*one);
@@ -184,7 +187,6 @@ struct MissionSchema<FleetSimResult> {
       counter_slot("missions", &FleetSimResult::missions),
       counter_slot("data_loss_missions", &FleetSimResult::data_loss_missions),
       counter_slot("data_loss_events", &FleetSimResult::data_loss_events),
-      counter_slot("disk_failures", &FleetSimResult::disk_failures),
       counter_slot("catastrophic_pool_events", &FleetSimResult::catastrophic_pool_events),
       scalar_slot("cross_rack_tb", &FleetSimResult::cross_rack_tb),
       stats_slot("loss_time_hours", &FleetSimResult::loss_time_hours),

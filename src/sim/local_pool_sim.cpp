@@ -53,42 +53,28 @@ LocalPoolEngine::LocalPoolEngine(const LocalPoolSimConfig& config, std::size_t m
 void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
   ++into.missions;
   into.pool_years = static_cast<double>(into.missions) * mission_hours_ / units::kHoursPerYear;
-  auto record_repair = [&into](double start, double finish) {
-    into.single_disk_repair_hours.add(finish - start);
-  };
 
-  // The pool state is reused across missions: reset() keeps the failure
-  // vector's capacity, so the mission loop allocates nothing. Nothing
-  // observable happens between arrivals: advance_to walks the detections
-  // and completions in between (declustered segments included) and reports
-  // each completion at its own time.
-  pool_.reset();
+  // The pool state is reused across missions: reset() keeps its capacity,
+  // so the mission loop allocates nothing. Nothing observable happens
+  // between arrivals, so the pool steps only at failures.
+  pool_.reset(model_);
   double t = rng.exponential(pool_rate_);
   ++into.rng_draws;
   for (; t < mission_hours_; t += rng.exponential(pool_rate_), ++into.rng_draws) {
-    pool_.advance_to(t, model_, record_repair);
     ++into.events_processed;
-    pool_.add_failure(t, model_);
-
-    if (pool_.catastrophic(t, model_)) {
-      ++into.catastrophes;
-      if (into.samples.size() < max_samples_) {
-        CatastropheSample sample{};
-        sample.time_hours = t;
-        sample.concurrent_failures = static_cast<std::uint32_t>(pool_.failures.size());
-        sample.unrebuilt_tb = pool_.unrebuilt_tb();
-        sample.lost_stripe_fraction = pool_.lost_stripe_fraction(model_);
-        sample.lost_local_stripes = sample.lost_stripe_fraction * stripes_in_pool_;
-        into.samples.push_back(sample);
-      }
-      pool_.reset();
-    } else {
-      pool_.extend_critical_window(t, model_);
+    if (!pool_.fail(t, model_)) continue;
+    ++into.catastrophes;
+    if (into.samples.size() < max_samples_) {
+      CatastropheSample sample{};
+      sample.time_hours = t;
+      sample.concurrent_failures = static_cast<std::uint32_t>(pool_.concurrent_failures(model_));
+      sample.unrebuilt_tb = pool_.unrebuilt_tb(model_);
+      sample.lost_stripe_fraction = pool_.lost_stripe_fraction(model_);
+      sample.lost_local_stripes = sample.lost_stripe_fraction * stripes_in_pool_;
+      into.samples.push_back(sample);
     }
+    pool_.reset(model_);
   }
-  // Record the rebuilds that finish after the last failure but within the
-  // mission.
-  pool_.advance_to(mission_hours_, model_, record_repair);
 }
 
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& cfg, std::uint64_t missions,

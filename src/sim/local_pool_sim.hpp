@@ -9,8 +9,13 @@
 //
 // Modeling notes (documented deviations are cross-checked against the
 // Markov closed forms in tests):
-//  * Failures arrive as a Poisson process at rate n*lambda; with <=1% AFR
-//    and small concurrent-failure counts the thinning error is negligible.
+//  * Failures arrive as a Poisson process at rate n*lambda whatever the
+//    pool's state, so a failed disk that is not yet rebuilt can fail again
+//    and counts as one more concurrent failure (the closed forms use
+//    (n-i)*lambda). This overstates the catastrophe rate, by about 4/3 on
+//    a 4-disk pool. A thinned stream would need the failures in flight at
+//    t, which a clustered pool's ring gives as its entries finishing after
+//    t (sim/pool_state.hpp).
 //  * Clustered pools rebuild each failed disk onto a dedicated spare at the
 //    spare's write bandwidth (Table 2's 40 MB/s); a catastrophe occurs when
 //    p_l+1 rebuilds overlap, and the lost-stripe fraction is the span of
@@ -29,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "placement/codes.hpp"
@@ -36,7 +42,6 @@
 #include "sim/pool_state.hpp"
 #include "topology/bandwidth.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace mlec {
 
@@ -74,11 +79,19 @@ struct LocalPoolSimResult {
   std::uint64_t catastrophes = 0;
   double pool_years = 0.0;  ///< total simulated pool-time in years
   std::vector<CatastropheSample> samples;
-  RunningStats single_disk_repair_hours;  ///< observed per-disk rebuild times
   /// Perf counters: events processed (failures, the only events) and RNG
   /// variates drawn.
   std::uint64_t events_processed = 0;
   std::uint64_t rng_draws = 0;
+
+  /// Back to a fresh result, keeping the samples' capacity, so a campaign
+  /// that reuses one result per worker allocates only while it grows.
+  void clear() {
+    std::vector<CatastropheSample> kept = std::move(samples);
+    kept.clear();
+    *this = {};
+    samples = std::move(kept);
+  }
 
   /// Catastrophes per pool-year (the splitting stage-1 rate).
   double catastrophe_rate_per_year() const {

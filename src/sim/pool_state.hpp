@@ -10,11 +10,11 @@
 //
 //  * PoolRepairModel — immutable per-run rebuild physics (Table 2 rates,
 //    hypergeometric lost-stripe fractions, critical-window lengths).
-//  * LocalPoolState — one pool's mutable state: in-flight failures with
-//    rebuild progress, the declustered critical-window end, and the advance
-//    between events: closed-form for clustered pools, whose rebuilds run
-//    independently, and piecewise-constant for declustered ones, whose
-//    rebuilds share the pool's bandwidth.
+//  * LocalPoolState — one pool's mutable state, stepped one failure at a
+//    time: a ring of the last p_l finish times for clustered pools, whose
+//    rebuilds run independently on a closed-form clock, and in-flight
+//    failures walked over piecewise-constant segments for declustered ones,
+//    whose rebuilds share the pool's bandwidth.
 #pragma once
 
 #include <algorithm>
@@ -128,131 +128,154 @@ struct PoolRepairModel {
   double clustered_rebuild_hours_ = 0.0;  ///< clustered_rebuild_hours after finalize()
 };
 
-/// One in-flight disk failure: when it happened, when the repair system
-/// notices it, and how much of the disk is still unrebuilt.
-struct PoolFailure {
-  double start;
-  double detect_at;
-  double remaining_tb;
-};
-
-/// Mutable state of one local pool.
-struct LocalPoolState {
-  std::vector<PoolFailure> failures;
-  /// Declustered critical-window end: a failure arriving before this is
-  /// catastrophic even with priority reconstruction.
-  double clear_at = -std::numeric_limits<double>::infinity();
-  double last_advance = 0.0;
-
-  void reset() {
-    failures.clear();
-    clear_at = -std::numeric_limits<double>::infinity();
-    last_advance = 0.0;
+/// Mutable state of one local pool, stepped one disk failure at a time.
+///
+/// A clustered pool keeps a ring of its last p_l finish times. Each failed
+/// disk rebuilds onto its own spare at a fixed rate from its detection, so
+/// it finishes at (t + detection_hours) + clustered_rebuild_hours(), which
+/// is monotone in its arrival time t: failures finish in arrival order.
+/// After a tolerated failure at most p_l rebuilds are in flight, so a
+/// failure at t is catastrophic exactly when the p_l-th previous failure
+/// since the last reset is still rebuilding at t, and then every later one
+/// is too. The failures in flight at t are the ring entries with a finish
+/// after t. (p_l = 0: every failure is catastrophic and the ring is empty;
+/// its one slot holds +infinity.)
+///
+/// A declustered pool keeps its in-flight failures with their rebuild
+/// progress. Their rebuilds share the pool's bandwidth, so their rates
+/// interlock and each step walks the piecewise-constant segments since the
+/// previous failure, ending at detections and completions; with priority
+/// reconstruction it also carries the critical window during which one more
+/// failure is fatal.
+class LocalPoolState {
+ public:
+  /// Forget every failure (capacity is kept, so a reused state allocates
+  /// once).
+  void reset(const PoolRepairModel& m) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    finish_.assign(std::max<std::size_t>(m.code.p, 1), m.code.p == 0 ? kInf : -kInf);
+    oldest_ = 0;
+    failures_.clear();
+    clear_at_ = -kInf;
+    last_advance_ = 0.0;
   }
 
-  /// Record a disk failure at time t. Call advance_to(t, ...) first so
-  /// rebuild progress is current.
-  void add_failure(double t, const PoolRepairModel& m) {
-    MLEC_ASSERT(failures.empty() || t <= last_advance,
-                "advance_to(t) must run before add_failure(t)");
-    if (failures.empty()) last_advance = t;  // fresh (or long-idle) pool
-    failures.push_back({t, t + m.detection_hours, m.disk_capacity_tb});
+  /// One disk failure at t, which must not precede the previous one since
+  /// reset(). Returns whether it exceeds the pool's tolerance: clustered
+  /// pools (and declustered without priority repair) lose data at any p_l+1
+  /// overlap, declustered priority reconstruction only inside the critical
+  /// window. After a catastrophe the pool holds its realized state, which
+  /// the accessors below read, until reset().
+  bool fail(double t, const PoolRepairModel& m) {
+    if (m.clustered) {
+      MLEC_ASSERT(!finish_.empty(), "reset(m) must run before fail()");
+      double& oldest = finish_[oldest_];
+      if (!(oldest <= t)) {
+        at_ = t;
+        return true;
+      }
+      oldest = t + m.detection_hours + m.clustered_rebuild_hours();
+      oldest_ = oldest_ + 1 == finish_.size() ? 0 : oldest_ + 1;
+      return false;
+    }
+    advance_to(t, m);
+    failures_.push_back({t + m.detection_hours, m.disk_capacity_tb});
+    const std::size_t f = failures_.size();
+    if (f > m.code.p && (!m.priority_repair || t < clear_at_)) return true;
+    // A tolerated failure extends the critical window while stripes at
+    // exactly p_l failed chunks may exist.
+    if (m.priority_repair && f >= m.code.p)
+      clear_at_ = std::max(clear_at_, t + m.critical_window_hours(f));
+    return false;
   }
 
-  /// After add_failure: did that failure exceed the pool's tolerance?
-  /// Clustered pools (and declustered without priority repair) lose data at
-  /// any p_l+1 overlap; declustered priority reconstruction only inside the
-  /// critical window.
-  bool catastrophic(double t, const PoolRepairModel& m) const {
-    if (failures.size() < m.code.p + 1) return false;
-    if (m.clustered || !m.priority_repair) return true;
-    return t < clear_at;
+  /// Failed disks at the catastrophe, its failure included.
+  std::size_t concurrent_failures(const PoolRepairModel& m) const {
+    return m.clustered ? m.code.p + 1 : failures_.size();
   }
 
-  /// After a *tolerated* failure: extend the declustered critical window
-  /// while stripes at exactly p_l failed chunks may exist. No-op otherwise.
-  void extend_critical_window(double t, const PoolRepairModel& m) {
-    if (m.clustered || !m.priority_repair) return;
-    if (failures.size() >= m.code.p)
-      clear_at = std::max(clear_at, t + m.critical_window_hours(failures.size()));
-  }
-
-  /// Nothing in flight and no live critical window: the pool can be
-  /// forgotten by sparse containers.
-  bool idle(double t) const { return failures.empty() && clear_at <= t; }
-
-  double unrebuilt_tb() const {
+  /// Data still missing across the failed disks at the catastrophe.
+  double unrebuilt_tb(const PoolRepairModel& m) const {
     double total = 0.0;
-    for (const auto& f : failures) total += f.remaining_tb;
+    for_each_remaining_tb(m, [&](double remaining) { total += remaining; });
     return total;
   }
 
-  /// Fraction of local stripes lost if the pool went catastrophic *now*:
-  /// clustered pools lose the span not yet rebuilt on the most-rebuilt
-  /// failed disk (in-order rebuild); declustered pools the hypergeometric
-  /// tail over the current failure count.
+  /// Fraction of local stripes lost at the catastrophe: clustered pools
+  /// lose the span not yet rebuilt on the most-rebuilt failed disk
+  /// (in-order rebuild); declustered pools the hypergeometric tail over the
+  /// failure count.
   double lost_stripe_fraction(const PoolRepairModel& m) const {
-    if (!m.clustered) return m.declustered_lost_fraction(failures.size());
+    if (!m.clustered) return m.declustered_lost_fraction(failures_.size());
     double max_progress = 0.0;
-    for (const auto& f : failures)
-      max_progress = std::max(max_progress, 1.0 - f.remaining_tb / m.disk_capacity_tb);
+    for_each_remaining_tb(m, [&](double remaining) {
+      max_progress = std::max(max_progress, 1.0 - remaining / m.disk_capacity_tb);
+    });
     return 1.0 - max_progress;
   }
 
-  /// Progress rebuilds from last_advance to t, invoking
-  /// on_complete(start_time, finish_time) for each rebuild that finishes.
-  ///
-  /// Clustered rebuilds run on a closed-form clock: each failed disk
-  /// rebuilds onto its own spare at a fixed rate from its detection, so it
-  /// finishes at detect_at + clustered_rebuild_hours(). Finish order is
-  /// arrival order, so the completions are a prefix of `failures`, and each
-  /// survivor has rate x (finish - t) left, capped at the disk's capacity
-  /// while undetected. Declustered rebuilds share the pool's bandwidth, so
-  /// their rates interlock and the advance walks piecewise-constant
-  /// segments that end at detections and completions.
-  template <typename OnComplete>
-  void advance_to(double t, const PoolRepairModel& m, OnComplete&& on_complete) {
-    MLEC_ASSERT(failures.empty() || t >= last_advance, "pool time cannot flow backwards");
-    double now = last_advance;
-    last_advance = t;
-    if (m.clustered) {
-      const double duration = m.clustered_rebuild_hours();
-      const double rate = m.clustered_rate_tb_h();
-      auto live = failures.begin();
-      for (; live != failures.end() && live->detect_at + duration <= t; ++live)
-        on_complete(live->start, live->detect_at + duration);
-      failures.erase(failures.begin(), live);
-      for (auto& f : failures)
-        f.remaining_tb = std::min(m.disk_capacity_tb, rate * (f.detect_at + duration - t));
+ private:
+  /// One in-flight declustered failure: when the repair system notices it,
+  /// and how much of the disk is still unrebuilt.
+  struct PoolFailure {
+    double detect_at;
+    double remaining_tb;
+  };
+
+  /// Calls fn(remaining TB) for each failed disk, in arrival order. A
+  /// clustered survivor has rate x (finish - t) left, capped at the disk's
+  /// capacity while undetected; the catastrophic failure has all of it.
+  template <typename Fn>
+  void for_each_remaining_tb(const PoolRepairModel& m, Fn&& fn) const {
+    if (!m.clustered) {
+      for (const auto& f : failures_) fn(f.remaining_tb);
       return;
     }
-    while (now < t && !failures.empty()) {
+    const double rate = m.clustered_rate_tb_h();
+    auto survivor = [&](double finish) {
+      fn(std::min(m.disk_capacity_tb, rate * (finish - at_)));
+    };
+    for (std::size_t i = oldest_; i < m.code.p; ++i) survivor(finish_[i]);
+    for (std::size_t i = 0; i < oldest_; ++i) survivor(finish_[i]);
+    fn(m.disk_capacity_tb);
+  }
+
+  /// Progress the declustered rebuilds from last_advance_ to t, segment by
+  /// segment, dropping the ones that complete.
+  void advance_to(double t, const PoolRepairModel& m) {
+    MLEC_ASSERT(failures_.empty() || t >= last_advance_, "pool time cannot flow backwards");
+    double now = last_advance_;
+    last_advance_ = t;
+    while (now < t && !failures_.empty()) {
       std::size_t detected = 0;
-      for (const auto& f : failures) detected += f.detect_at <= now ? 1 : 0;
-      const double rate = m.per_failure_rate_tb_h(failures.size(), detected);
+      for (const auto& f : failures_) detected += f.detect_at <= now ? 1 : 0;
+      const double rate = m.per_failure_rate_tb_h(failures_.size(), detected);
       double boundary = t;
-      for (const auto& f : failures) {
+      for (const auto& f : failures_) {
         if (f.detect_at > now) boundary = std::min(boundary, f.detect_at);
         else if (rate > 0.0)
           boundary = std::min(boundary, now + f.remaining_tb / rate);
       }
       const double dt = boundary - now;
-      for (auto& f : failures)
+      for (auto& f : failures_)
         if (f.detect_at <= now) f.remaining_tb -= rate * dt;
       now = boundary;
-      for (auto it = failures.begin(); it != failures.end();) {
-        if (it->remaining_tb <= kRebuildCompleteEpsilonTb) {
-          on_complete(it->start, now);
-          it = failures.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      std::erase_if(failures_,
+                    [](const PoolFailure& f) { return f.remaining_tb <= kRebuildCompleteEpsilonTb; });
     }
   }
-  void advance_to(double t, const PoolRepairModel& m) {
-    advance_to(t, m, [](double, double) {});
-  }
+
+  /// Clustered: the last p_l finish times, oldest at oldest_, and the time
+  /// of the catastrophe the state describes.
+  std::vector<double> finish_;
+  std::size_t oldest_ = 0;
+  double at_ = 0.0;
+  /// Declustered: in-flight failures in arrival order, the critical-window
+  /// end (a failure before it is catastrophic even with priority
+  /// reconstruction), and the time rebuilds have been advanced to.
+  std::vector<PoolFailure> failures_;
+  double clear_at_ = -std::numeric_limits<double>::infinity();
+  double last_advance_ = 0.0;
 };
 
 }  // namespace mlec

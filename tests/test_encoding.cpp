@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace mlec {
 namespace {
 
@@ -15,8 +17,13 @@ TEST(Encoding, MeasurementIsPositiveAndPlausible) {
 
 TEST(Encoding, MoreParityIsSlower) {
   // p scales work linearly; compare p=1 vs p=8 with margin for timer noise.
-  const double p1 = measure_encoding_throughput(10, 1, 128.0, 0.05).data_mbps;
-  const double p8 = measure_encoding_throughput(10, 8, 128.0, 0.05).data_mbps;
+  // A neighbouring process can take the core during one window, so the two
+  // codes alternate over several windows and the best of each is compared.
+  double p1 = 0.0, p8 = 0.0;
+  for (int window = 0; window < 5; ++window) {
+    p1 = std::max(p1, measure_encoding_throughput(10, 1, 128.0, 0.03).data_mbps);
+    p8 = std::max(p8, measure_encoding_throughput(10, 8, 128.0, 0.03).data_mbps);
+  }
   EXPECT_GT(p1, p8 * 1.5);
 }
 

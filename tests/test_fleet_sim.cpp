@@ -2,38 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 
 #include "analysis/burst_pdl.hpp"
 #include "analysis/durability.hpp"
 #include "core/estimator.hpp"
 #include "core/spec_io.hpp"
+#include "counting_allocator.hpp"
 #include "runtime/mission_campaign.hpp"
 #include "util/ini.hpp"
 #include "util/units.hpp"
-
-namespace {
-/// Heap allocations made through operator new in this test binary.
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-// GCC flags free() here once these are inlined into a new-expression's
-// delete; the pair is matched, since operator new above uses malloc().
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace mlec {
 namespace {
@@ -78,8 +58,8 @@ TEST(FleetSim, NoFailuresNothingHappens) {
 TEST(FleetSim, FailureCountMatchesPoissonRate) {
   auto cfg = hot_fleet(MlecScheme::kCC);
   const auto r = simulate_fleet(cfg, 200, 2);
-  // 240 disks * 0.4/yr * 1 yr = 96 per mission.
-  const double per_mission = static_cast<double>(r.disk_failures) / 200.0;
+  // 240 disks * 0.4/yr * 1 yr = 96 per mission, every one walked.
+  const double per_mission = static_cast<double>(r.events_processed) / 200.0;
   EXPECT_NEAR(per_mission, 96.0, 5.0);
 }
 
@@ -90,7 +70,6 @@ TEST(FleetSim, SameSeedIsBitIdentical) {
   EXPECT_EQ(a.missions, b.missions);
   EXPECT_EQ(a.data_loss_missions, b.data_loss_missions);
   EXPECT_EQ(a.data_loss_events, b.data_loss_events);
-  EXPECT_EQ(a.disk_failures, b.disk_failures);
   EXPECT_EQ(a.catastrophic_pool_events, b.catastrophic_pool_events);
   EXPECT_EQ(a.cross_rack_tb, b.cross_rack_tb);
   EXPECT_EQ(a.events_processed, b.events_processed);
@@ -109,7 +88,7 @@ TEST(FleetSim, SharedContextEngineMatchesPerConfigEngine) {
     from_config.run_mission(rng_a, a);
     from_context.run_mission(rng_b, b);
   }
-  EXPECT_EQ(a.disk_failures, b.disk_failures);
+  EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.data_loss_missions, b.data_loss_missions);
   EXPECT_EQ(a.catastrophic_pool_events, b.catastrophic_pool_events);
   EXPECT_EQ(a.cross_rack_tb, b.cross_rack_tb);
@@ -119,16 +98,14 @@ TEST(FleetSim, SharedContextEngineMatchesPerConfigEngine) {
 TEST(FleetSim, PerfCountersArePopulatedAndAllocationFree) {
   const auto cfg = hot_fleet(MlecScheme::kCC);
   const auto r = simulate_fleet(cfg, 100, 5);
-  // Every failure walked is an event; a stopping loss leaves the ones after
-  // it out of disk_failures.
-  EXPECT_GE(r.events_processed, r.disk_failures);
+  // Every failure walked is an event, and each sampled one drew its gap,
+  // plus one gap per mission.
   EXPECT_GT(r.events_processed, 0u);
-  // One gap per sampled failure plus one per mission.
-  EXPECT_GT(r.rng_draws, r.disk_failures);
+  EXPECT_GE(r.rng_draws, r.events_processed + r.missions);
 
   // Working storage keeps its capacity across missions: an engine that
   // replays missions it has already run allocates nothing. At AFR 3, most
-  // missions stop on a loss, and each logs about 720 failures.
+  // missions stop on a loss, and each walks about 720 failures.
   for (const MlecScheme scheme : {MlecScheme::kCC, MlecScheme::kDD}) {
     SCOPED_TRACE(to_string(scheme));
     FleetSimConfig hotter = hot_fleet(scheme);
@@ -142,7 +119,7 @@ TEST(FleetSim, PerfCountersArePopulatedAndAllocationFree) {
     const std::uint64_t before = g_allocations.load();
     for (int m = 0; m < 100; ++m) engine.run_mission(replay_rng, replayed);
     EXPECT_EQ(g_allocations.load() - before, 0u);
-    EXPECT_EQ(replayed.disk_failures, warm.disk_failures);
+    EXPECT_EQ(replayed.events_processed, warm.events_processed);
   }
 }
 
@@ -342,14 +319,14 @@ TEST(FleetSim, ReplaysInjectedTraceExactly) {
   const auto lossy = simulate_fleet(cfg, missions, 12);
   EXPECT_EQ(lossy.data_loss_missions, missions);
   EXPECT_EQ(lossy.catastrophic_pool_events, (pn + 1) * missions);
-  // The loss lands on the trace's last failure, so every event was replayed.
-  EXPECT_EQ(lossy.disk_failures, cfg.injected_events.size() * missions);
+  // Every failure walked is a replayed one.
+  EXPECT_EQ(lossy.events_processed, cfg.injected_events.size() * missions);
 
   cfg.injected_events = trace_with(pl);
   const auto safe = simulate_fleet(cfg, missions, 12);
   EXPECT_EQ(safe.data_loss_missions, 0u);
   EXPECT_EQ(safe.catastrophic_pool_events, 0u);
-  EXPECT_EQ(safe.disk_failures, cfg.injected_events.size() * missions);
+  EXPECT_EQ(safe.events_processed, cfg.injected_events.size() * missions);
 }
 
 FleetSimConfig bundled(const std::string& file) {
@@ -389,15 +366,14 @@ TEST(FleetSim, AgreesWithTheFleetWideFailureStream) {
   }
 }
 
-TEST(FleetSim, StopOnLossCountsOnlyFailuresUpToTheLoss) {
+TEST(FleetSim, StopOnLossCountsOnlyCatastrophesUpToTheLoss) {
   // One same-instant burst at t = 0 under R_ALL, where two overlapping
   // catastrophes in a network pool lose data for certain: pool 0 of racks 0
   // and 1 (one (2+1) network pool) each take p_l+1 = 2 failures, so the
   // 4th failure in trace order loses data. Three more follow at the same
   // instant: a third catastrophe in rack 2 and a deepening of rack 0's.
   // Sampled failures come after t = 0, so after the loss. The cold fleet
-  // expects few enough failures per mission to log them; the hot one
-  // expects 2,592, so its count redraws them from the mission's Rng.
+  // samples none; the hot one expects 2,592 per mission.
   for (const double afr : {1e-12, 0.9}) {
     SCOPED_TRACE("afr " + std::to_string(afr));
     FleetSimConfig cfg = hot_fleet(MlecScheme::kCC);
@@ -412,7 +388,6 @@ TEST(FleetSim, StopOnLossCountsOnlyFailuresUpToTheLoss) {
     const std::uint64_t missions = 20;
     const auto stopped = simulate_fleet(cfg, missions, 3);
     EXPECT_EQ(stopped.data_loss_missions, missions);
-    EXPECT_EQ(stopped.disk_failures, 4 * missions);
     EXPECT_EQ(stopped.catastrophic_pool_events, 2 * missions);
     EXPECT_EQ(stopped.catastrophe_exposure_hours.count(), 2 * missions);
     EXPECT_EQ(stopped.loss_time_hours.mean(), 0.0);
@@ -420,7 +395,7 @@ TEST(FleetSim, StopOnLossCountsOnlyFailuresUpToTheLoss) {
       EXPECT_GT(stopped.events_processed, 2000 * missions);  // 2592 expected
       // The loss is certain, so the only variates are the gaps: one per
       // sampled failure plus one per mission, and the unused rest of the
-      // last batch. The redraw that counts the failures adds none.
+      // last batch.
       const std::uint64_t sampled =
           stopped.events_processed - cfg.injected_events.size() * missions;
       EXPECT_GE(stopped.rng_draws, sampled + missions);
@@ -431,7 +406,6 @@ TEST(FleetSim, StopOnLossCountsOnlyFailuresUpToTheLoss) {
 
     cfg.stop_on_loss = false;
     const auto counting = simulate_fleet(cfg, missions, 3);
-    EXPECT_EQ(counting.disk_failures, counting.events_processed);
     EXPECT_GE(counting.catastrophic_pool_events, 3 * missions);
   }
 }

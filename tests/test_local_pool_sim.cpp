@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "counting_allocator.hpp"
 #include "math/markov.hpp"
 #include "runtime/mission_campaign.hpp"
 #include "util/units.hpp"
@@ -82,14 +85,6 @@ TEST(LocalPoolSim, SamplesDescribeCatastrophes) {
   }
 }
 
-TEST(LocalPoolSim, RepairDurationsObserved) {
-  Rng rng(8);
-  const auto result = simulate_local_pool(clustered_cfg(0.5), 2000, rng);
-  ASSERT_GT(result.single_disk_repair_hours.count(), 100u);
-  const double expected = 0.5 + units::hours_to_move(60.0, 40.0);
-  EXPECT_NEAR(result.single_disk_repair_hours.mean(), expected, 5.0);
-}
-
 TEST(LocalPoolSim, MergeAccumulates) {
   // Stage-1 results merge through the campaign summary's fold.
   Rng rng(9);
@@ -110,7 +105,6 @@ void expect_identical(const LocalPoolSimResult& a, const LocalPoolSimResult& b) 
   EXPECT_EQ(a.missions, b.missions);
   EXPECT_EQ(a.catastrophes, b.catastrophes);
   EXPECT_EQ(a.pool_years, b.pool_years);  // bit-exact, not approximate
-  EXPECT_TRUE(a.single_disk_repair_hours == b.single_disk_repair_hours);
   EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.rng_draws, b.rng_draws);
   ASSERT_EQ(a.samples.size(), b.samples.size());
@@ -151,8 +145,52 @@ TEST(LocalPoolEngine, ClusteredPoolsStepOnlyAtFailures) {
   const auto result = simulate_local_pool(clustered_cfg(0.9), 2000, rng);
   EXPECT_EQ(result.events_processed, result.rng_draws - result.missions);
   EXPECT_EQ(result.catastrophes, 258u);
-  EXPECT_EQ(result.single_disk_repair_hours.count(), 9488u);
   EXPECT_EQ(result.rng_draws, 12760u);
+}
+
+TEST(LocalPoolEngine, ReplayedMissionsAllocateNothing) {
+  // A campaign worker clears its one mission result before each mission.
+  // clear() zeroes it but keeps the samples' capacity, so an engine that
+  // replays missions it has already run allocates nothing, though a few
+  // hundred of them record a catastrophe.
+  LocalPoolEngine engine(clustered_cfg(0.9));
+  LocalPoolSimResult one;
+  auto run = [&](Rng rng) {
+    std::uint64_t catastrophes = 0;
+    for (int m = 0; m < 2000; ++m) {
+      one.clear();
+      engine.run_mission(rng, one);
+      catastrophes += one.catastrophes;
+    }
+    return catastrophes;
+  };
+  const std::uint64_t warm = run(Rng(41));
+  ASSERT_GT(warm, 100u);
+  const std::uint64_t before = g_allocations.load();
+  EXPECT_EQ(run(Rng(41)), warm);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+
+  one.clear();
+  EXPECT_EQ(one.missions, 0u);
+  EXPECT_EQ(one.events_processed, 0u);
+  EXPECT_TRUE(one.samples.empty());
+  EXPECT_GT(one.samples.capacity(), 0u);
+
+  // The campaign path itself: a hot pool's campaign allocates no more than
+  // a cold one's, though hundreds of its missions record a catastrophe.
+  auto campaign_allocations = [](double afr) {
+    CampaignConfig campaign;
+    campaign.total_units = 4000;
+    campaign.seed = 43;
+    const std::uint64_t start = g_allocations.load();
+    const auto result = run_local_pool_campaign(clustered_cfg(afr), campaign);
+    return std::pair{g_allocations.load() - start, result.summary.catastrophes};
+  };
+  const auto [cold, cold_catastrophes] = campaign_allocations(0.01);
+  const auto [hot, hot_catastrophes] = campaign_allocations(0.9);
+  ASSERT_EQ(cold_catastrophes, 0u);
+  ASSERT_GT(hot_catastrophes, 300u);
+  EXPECT_LE(hot, cold + 4) << "cold " << cold << ", hot " << hot;
 }
 
 TEST(LocalPoolSim, ConfigValidation) {

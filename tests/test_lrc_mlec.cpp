@@ -186,7 +186,7 @@ TEST(LrcFleetSim, CrossRackTrafficBeatsRsAtTheSameSeed) {
 
   // Same failure process, same catastrophes; only the repair fan-in and the
   // loss accounting differ.
-  ASSERT_EQ(rs.disk_failures, lrc.disk_failures);
+  ASSERT_EQ(rs.events_processed, lrc.events_processed);
   ASSERT_EQ(rs.catastrophic_pool_events, lrc.catastrophic_pool_events);
   ASSERT_GT(rs.catastrophic_pool_events, 0u);
   // Per rebuilt chunk: rs reads k_n = 4 and writes 1; lrc reads the mean

@@ -5,7 +5,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -75,145 +76,167 @@ TEST(PoolRepairModel, CriticalWindowCoversDetectionPlusDemotion) {
   EXPECT_GT(m.critical_volume_tb(1), 0.0);
 }
 
-TEST(LocalPoolState, DetectionThenCompletionSequencing) {
-  const auto m = clustered_model();
-  LocalPoolState pool;
-  pool.add_failure(0.0, m);
-  const double finish = 0.5 + 20.0 / m.clustered_rate_tb_h();
+/// A fresh pool of model m that has taken failures at `times`; returns the
+/// last failure's verdict.
+bool fail_all(LocalPoolState& pool, const PoolRepairModel& m, std::initializer_list<double> times) {
+  pool.reset(m);
+  bool catastrophic = false;
+  for (const double t : times) catastrophic = pool.fail(t, m);
+  return catastrophic;
+}
 
-  std::vector<std::pair<double, double>> completions;
-  pool.advance_to(finish + 1.0, m,
-                  [&](double start, double end) { completions.emplace_back(start, end); });
-  ASSERT_EQ(completions.size(), 1u);
-  EXPECT_DOUBLE_EQ(completions[0].first, 0.0);
-  EXPECT_NEAR(completions[0].second, finish, 1e-6);
-  EXPECT_TRUE(pool.failures.empty());
-  EXPECT_TRUE(pool.idle(finish + 1.0));
+TEST(LocalPoolState, DetectionThenCompletionSequencing) {
+  // p_l = 1: the second of two overlapping failures is catastrophic, and the
+  // first one's share of it follows its clock: untouched until detection,
+  // then rebuilt at the spare's rate until it is gone.
+  const auto m = clustered_model();
+  const double finish = 0.5 + 20.0 / m.clustered_rate_tb_h();
+  LocalPoolState pool;
+  ASSERT_TRUE(fail_all(pool, m, {0.0, 0.25}));  // before detection
+  EXPECT_DOUBLE_EQ(pool.unrebuilt_tb(m), 40.0);
+  EXPECT_DOUBLE_EQ(pool.lost_stripe_fraction(m), 1.0);
+  ASSERT_TRUE(fail_all(pool, m, {0.0, finish - 1.0}));  // one hour of rebuild left
+  EXPECT_NEAR(pool.unrebuilt_tb(m), 20.0 + m.clustered_rate_tb_h(), 1e-9);
+  // At its finish time the first rebuild is done: the overlap is tolerated.
+  EXPECT_FALSE(fail_all(pool, m, {0.0, m.detection_hours + m.clustered_rebuild_hours()}));
 }
 
 TEST(LocalPoolState, AdvanceTracksUnrebuiltVolume) {
   const auto m = clustered_model();
   LocalPoolState pool;
-  pool.add_failure(0.0, m);
-  EXPECT_DOUBLE_EQ(pool.unrebuilt_tb(), 20.0);
-  EXPECT_DOUBLE_EQ(pool.lost_stripe_fraction(m), 1.0);
-  pool.advance_to(0.5 + 10.0 / m.clustered_rate_tb_h(), m);  // half rebuilt
-  EXPECT_NEAR(pool.unrebuilt_tb(), 10.0, 1e-9);
+  ASSERT_TRUE(fail_all(pool, m, {0.0, 0.5 + 10.0 / m.clustered_rate_tb_h()}));  // half rebuilt
+  EXPECT_EQ(pool.concurrent_failures(m), 2u);
+  EXPECT_NEAR(pool.unrebuilt_tb(m), 30.0, 1e-9);
   EXPECT_NEAR(pool.lost_stripe_fraction(m), 0.5, 1e-9);
 }
 
-// Differential check of the clustered closed-form clock against a reference
+// Differential check of the clustered ring against a brute-force reference
 // kept here: a failure at `start` finishes at start + detection +
-// capacity/rate and has min(capacity, rate * (finish - t)) left at t.
+// capacity/rate, is in flight at t while its finish is after t, and has
+// min(capacity, rate * (finish - t)) left at t; a failure is catastrophic
+// when p_l failures are in flight before it. The realized state must match
+// bit for bit.
 TEST(LocalPoolState, ClusteredClockMatchesReferenceOverRandomSequences) {
-  PoolRepairModel m;
-  m.code = {4, 2};
-  m.pool_disks = 6;
-  m.clustered = true;
-  m.detection_hours = 0.5;
-  m.disk_capacity_tb = 20.0;
-  m.disk_eff_mbps = 40.0;
-  m.finalize();
   const double rate = 40.0 * 3600e6 / 1e12;
-  const double rebuild_hours = 20.0 / rate;
-
   Rng rng(20231112);
-  std::size_t completions_seen = 0;
-  for (int sequence = 0; sequence < 200; ++sequence) {
-    LocalPoolState pool;
-    std::vector<double> starts;  // reference: in-flight failures, arrival order
-    double t = 0.0;
-    for (int step = 0; step < 60; ++step) {
-      // Mostly short steps, some long ones, and some of zero length (an
-      // advance or an arrival at the current t).
-      const std::uint64_t kind = rng.uniform_below(10);
-      if (kind >= 2) t += rng.uniform() * (kind < 9 ? 0.4 : 2.0) * rebuild_hours;
+  for (const std::size_t p : {0u, 1u, 2u, 3u, 6u}) {
+    for (const double detection : {0.5, 0.0}) {
+      SCOPED_TRACE("p_l " + std::to_string(p) + ", detection " + std::to_string(detection));
+      PoolRepairModel m;
+      m.code = {4, p};
+      m.pool_disks = 4 + p;
+      m.clustered = true;
+      m.detection_hours = detection;
+      m.disk_capacity_tb = 20.0;
+      m.disk_eff_mbps = 40.0;
+      m.finalize();
+      ASSERT_NEAR(m.clustered_rebuild_hours(), 20.0 / rate, 1e-9);
+      const double rebuild_hours = m.clustered_rebuild_hours();
+      // Steps short enough that p_l+1 failures often overlap.
+      const double step = 2.0 * rebuild_hours / static_cast<double>(p + 1);
 
-      std::vector<std::pair<double, double>> done;
-      pool.advance_to(t, m, [&](double start, double finish) { done.emplace_back(start, finish); });
-      std::vector<double> expected_done;
-      while (!starts.empty() && starts.front() + m.detection_hours + rebuild_hours <= t) {
-        expected_done.push_back(starts.front());
-        starts.erase(starts.begin());
-      }
-      ASSERT_EQ(done.size(), expected_done.size()) << "sequence " << sequence << " step " << step;
-      for (std::size_t i = 0; i < done.size(); ++i) {
-        EXPECT_EQ(done[i].first, expected_done[i]);  // arrival order
-        const double detect_at = done[i].first + m.detection_hours;
-        EXPECT_EQ(done[i].second, detect_at + m.clustered_rebuild_hours());
-        EXPECT_LE(done[i].second, t);
-        EXPECT_NEAR(done[i].second, detect_at + rebuild_hours, 1e-9);
-      }
-      completions_seen += done.size();
+      LocalPoolState pool;
+      std::size_t catastrophes = 0, tolerated = 0;
+      for (int sequence = 0; sequence < 100; ++sequence) {
+        pool.reset(m);
+        std::vector<double> starts;  // reference: in-flight failures, arrival order
+        double t = 0.0;
+        for (int failure = 0; failure < 40; ++failure) {
+          // Mostly short steps, some long ones, some of zero length (a
+          // same-instant burst), and some to the oldest in-flight failure's
+          // finish time, when that rebuild has just completed.
+          const std::uint64_t kind = rng.uniform_below(10);
+          if (kind == 1 && !starts.empty())
+            t = std::max(t, starts.front() + m.detection_hours + m.clustered_rebuild_hours());
+          else if (kind >= 2)
+            t += rng.uniform() * (kind < 9 ? step : 2.0 * rebuild_hours);
 
-      ASSERT_EQ(pool.failures.size(), starts.size());
-      for (std::size_t i = 0; i < starts.size(); ++i) {
-        const double finish = starts[i] + m.detection_hours + rebuild_hours;
-        const double expected = std::min(m.disk_capacity_tb, rate * (finish - t));
-        EXPECT_EQ(pool.failures[i].start, starts[i]);
-        EXPECT_NEAR(pool.failures[i].remaining_tb, expected, 1e-9);
+          std::erase_if(starts, [&](double start) {
+            return start + m.detection_hours + m.clustered_rebuild_hours() <= t;
+          });
+          starts.push_back(t);
+          const bool expected = starts.size() > p;
+          ASSERT_EQ(pool.fail(t, m), expected) << "sequence " << sequence << " failure " << failure;
+          if (!expected) {
+            ++tolerated;
+            continue;
+          }
+          ++catastrophes;
+          double unrebuilt = 0.0, max_progress = 0.0;
+          for (std::size_t i = 0; i < starts.size(); ++i) {
+            const double finish = starts[i] + m.detection_hours + m.clustered_rebuild_hours();
+            const double remaining = i + 1 < starts.size()
+                                         ? std::min(m.disk_capacity_tb, rate * (finish - t))
+                                         : m.disk_capacity_tb;
+            unrebuilt += remaining;
+            max_progress = std::max(max_progress, 1.0 - remaining / m.disk_capacity_tb);
+          }
+          EXPECT_EQ(pool.concurrent_failures(m), starts.size());
+          EXPECT_EQ(pool.unrebuilt_tb(m), unrebuilt);
+          EXPECT_EQ(pool.lost_stripe_fraction(m), 1.0 - max_progress);
+          pool.reset(m);
+          starts.clear();
+        }
       }
-
-      if (rng.uniform_below(10) < 4 && starts.size() < 5) {
-        pool.add_failure(t, m);
-        starts.push_back(t);
+      EXPECT_GT(catastrophes, 200u);
+      if (p > 0) {
+        EXPECT_GT(tolerated, 500u);
       }
     }
   }
-  EXPECT_GT(completions_seen, 1000u);  // the sequences exercise completions
 }
 
 TEST(LocalPoolState, ClusteredOverlapIsCatastrophic) {
   const auto m = clustered_model();  // p_l = 1: two concurrent failures fatal
   LocalPoolState pool;
-  pool.add_failure(0.0, m);
-  EXPECT_FALSE(pool.catastrophic(0.0, m));
-  pool.advance_to(10.0, m);
-  pool.add_failure(10.0, m);
-  EXPECT_TRUE(pool.catastrophic(10.0, m));
+  pool.reset(m);
+  EXPECT_FALSE(pool.fail(0.0, m));
+  EXPECT_TRUE(pool.fail(10.0, m));
 }
 
 TEST(LocalPoolState, PriorityRepairOnlyFatalInsideCriticalWindow) {
-  const auto m = declustered_model(/*priority=*/true);
+  // (3+2) on 10 disks: the second failure opens a critical window, short
+  // next to the rebuilds, during which a third is fatal.
+  PoolRepairModel m;
+  m.code = {3, 2};
+  m.pool_disks = 10;
+  m.clustered = false;
+  m.priority_repair = true;
+  m.detection_hours = 0.5;
+  m.disk_capacity_tb = 20.0;
+  m.disk_eff_mbps = 40.0;
+  m.finalize();
+  const double window = m.critical_window_hours(2);
+  ASSERT_LT(window, 50.0);  // both rebuilds take over 100 hours
+
   LocalPoolState pool;
-  pool.add_failure(0.0, m);
-  pool.extend_critical_window(0.0, m);  // size 1 >= p_l opens the window
-  EXPECT_GT(pool.clear_at, 0.0);
-
-  LocalPoolState inside = pool;
-  inside.advance_to(pool.clear_at / 2.0, m);
-  inside.add_failure(pool.clear_at / 2.0, m);
-  EXPECT_TRUE(inside.catastrophic(pool.clear_at / 2.0, m));
-
-  // Identical overlap after the window has cleared is tolerated.
-  LocalPoolState after = pool;
-  after.clear_at = 1.0;
-  after.advance_to(2.0, m);  // the first rebuild is still in flight
-  ASSERT_EQ(after.failures.size(), 1u);
-  after.add_failure(2.0, m);
-  EXPECT_FALSE(after.catastrophic(2.0, m));
+  EXPECT_TRUE(fail_all(pool, m, {0.0, 1.0, 1.0 + window / 2.0}));
+  EXPECT_EQ(pool.concurrent_failures(m), 3u);
+  // The same overlap after the window has closed is tolerated.
+  EXPECT_FALSE(fail_all(pool, m, {0.0, 1.0, 1.0 + window + 1.0}));
 
   // Without priority reconstruction any p_l+1 overlap is fatal regardless.
-  const auto plain = declustered_model(/*priority=*/false);
-  EXPECT_TRUE(after.catastrophic(2.0, plain));
+  m.priority_repair = false;
+  EXPECT_TRUE(fail_all(pool, m, {0.0, 1.0, 1.0 + window + 1.0}));
 }
 
 TEST(LocalPoolState, DeclusteredLossUsesHypergeometricFraction) {
   const auto m = declustered_model();
   LocalPoolState pool;
-  pool.add_failure(0.0, m);
-  pool.add_failure(0.0, m);
+  ASSERT_TRUE(fail_all(pool, m, {0.0, 0.0}));
+  EXPECT_EQ(pool.concurrent_failures(m), 2u);
+  EXPECT_DOUBLE_EQ(pool.unrebuilt_tb(m), 40.0);
   EXPECT_DOUBLE_EQ(pool.lost_stripe_fraction(m), m.declustered_lost_fraction(2));
 }
 
 TEST(LocalPoolState, ResetForgetsEverything) {
-  const auto m = clustered_model();
-  LocalPoolState pool;
-  pool.add_failure(0.0, m);
-  pool.extend_critical_window(0.0, m);
-  pool.reset();
-  EXPECT_TRUE(pool.failures.empty());
-  EXPECT_TRUE(pool.idle(0.0));
+  for (const auto& m : {clustered_model(), declustered_model()}) {
+    LocalPoolState pool;
+    pool.reset(m);
+    ASSERT_FALSE(pool.fail(0.0, m));  // opens the declustered critical window
+    pool.reset(m);
+    EXPECT_FALSE(pool.fail(0.0, m));
+  }
 }
 
 }  // namespace
