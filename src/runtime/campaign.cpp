@@ -179,6 +179,7 @@ void CampaignRunner::commit(std::uint32_t worker, std::uint64_t block, std::uint
         blocks_.contains(block))
       return;
     if (acc != nullptr) ws.outcome.done += block_size(block);
+    const std::uint64_t prefix_before = prefix_blocks_;
     if (acc != nullptr && block == prefix_blocks_) {
       prefix_.merge(*acc);  // in order: fold without parking a copy
       ++prefix_blocks_;
@@ -188,6 +189,7 @@ void CampaignRunner::commit(std::uint32_t worker, std::uint64_t block, std::uint
                                          acc != nullptr ? *acc : CampaignAccumulator{}});
     }
     advance_prefix_locked();
+    if (prefix_blocks_ != prefix_before) prefix_moved_.notify_all();
     write_journal_locked();
     if (config_.progress != nullptr) {
       snapshot.shard = worker;
@@ -249,6 +251,13 @@ void CampaignRunner::run_worker(std::uint32_t worker) {
       MutexLock lock(mutex_);
       WorkerState& ws = workers_[worker];
       if (!block) {
+        // A worker that has run a window ahead of a stalled one waits for
+        // the prefix to move instead of parking ever more finished blocks.
+        while (!converged_.load(std::memory_order_relaxed) &&
+               next_claim_ >= prefix_blocks_ + kCampaignWindowBlocksPerWorker * workers_.size()) {
+          ws.running = false;
+          prefix_moved_.wait(mutex_);
+        }
         block = claim_locked();
         failures = 0;
       }

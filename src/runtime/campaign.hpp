@@ -26,6 +26,10 @@
 //  * adaptive stopping — with `target_rse` and an RSE estimator, the answer
 //    is the first block prefix that meets the target; blocks past it are
 //    discarded and the report is flagged `converged`.
+//  * a claim window — blocks finished beyond the prefix are held until it
+//    reaches them, so a worker claims only blocks within
+//    kCampaignWindowBlocksPerWorker per worker of the prefix and otherwise
+//    waits for it to move.
 #pragma once
 
 #include <atomic>
@@ -56,6 +60,12 @@ struct CampaignProgress {
   /// estimator is wired or it is still infinite (too few successes).
   double achieved_rse = 0.0;
 };
+
+/// Workers claim blocks at most this many per worker beyond the prefix.
+/// Without a bound, a worker stalled on the prefix block for a few
+/// milliseconds lets the others hold hundreds of short finished blocks, and
+/// the campaign's memory follows the host's scheduling.
+inline constexpr std::uint64_t kCampaignWindowBlocksPerWorker = 16;
 
 struct CampaignConfig {
   std::uint64_t total_units = 0;
@@ -200,6 +210,9 @@ class CampaignRunner {
   /// Claim cursor and the units claimed in this invocation (unit_budget).
   std::uint64_t next_claim_ MLEC_GUARDED_BY(mutex_) = 0;
   std::uint64_t claimed_units_ MLEC_GUARDED_BY(mutex_) = 0;
+  /// Signalled by every commit that moves the prefix, for workers waiting
+  /// at the claim window (kCampaignWindowBlocksPerWorker).
+  CondVar prefix_moved_;
   /// Per-worker report rows and watchdog heartbeat.
   std::vector<WorkerState> workers_ MLEC_GUARDED_BY(mutex_);
   /// Set once a prefix meets target_rse; workers abandon their blocks at
