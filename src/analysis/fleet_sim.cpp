@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -22,8 +21,23 @@ void FleetSimConfig::validate() const {
   dc.validate();
   code.validate();
   bandwidth.validate();
+  MLEC_REQUIRE(std::isfinite(failures.afr) && failures.afr > 0.0,
+               "AFR must be positive and finite");
   MLEC_REQUIRE(detection_hours >= 0.0, "detection time must be non-negative");
   MLEC_REQUIRE(mission_hours > 0.0, "mission must be positive");
+}
+
+LocalPoolSimConfig FleetSimConfig::local_pool() const {
+  return {.code = code.local,
+          .placement = local_placement(scheme),
+          .pool_disks = PoolLayout(dc, code, scheme).local_pool_disks(),
+          .disk_capacity_tb = dc.disk_capacity_tb,
+          .chunk_kb = dc.chunk_kb,
+          .afr = failures.afr,
+          .detection_hours = detection_hours,
+          .bandwidth = bandwidth,
+          .mission_hours = mission_hours,
+          .priority_repair = priority_repair};
 }
 
 ProportionEstimate::Interval FleetSimResult::pdl_interval() const {
@@ -38,16 +52,6 @@ double FleetSimResult::catastrophes_per_system_year(double mission_hours) const 
   return years > 0 ? static_cast<double>(catastrophic_pool_events) / years : 0.0;
 }
 
-namespace {
-
-/// One injected failure, filed under its local pool.
-struct InjectedFailure {
-  double time;
-  std::uint32_t order;  ///< index in the config's trace
-};
-
-}  // namespace
-
 /// Shared, immutable per-run constants. One instance serves every worker
 /// engine of a campaign — the repair
 /// model's lookup tables (hypergeometric tails, per-f declustered
@@ -56,13 +60,10 @@ class FleetSimContext {
  public:
   FleetSimConfig cfg;
   PoolLayout layout;
-  bool local_clustered;
   bool network_clustered;
-  std::size_t pool_disks;
   std::size_t pools_per_enclosure;
   std::size_t pools_per_rack;
   std::size_t total_pools;
-  double lambda_hour;       // per disk
   double pool_rate;         // failures per hour, one local pool
   double net_bw_tb_h;       // network-stage bandwidth for cfg.method
   double stripes_per_network_pool;
@@ -86,24 +87,12 @@ class FleetSimContext {
                                   return a.time_hours < b.time_hours;
                                 }),
                  "injected events must be time-sorted");
-    local_clustered = local_placement(cfg.scheme) == Placement::kClustered;
     network_clustered = network_placement(cfg.scheme) == Placement::kClustered;
-    pool_disks = layout.local_pool_disks();
+    model = cfg.local_pool().repair_model();
     pools_per_enclosure = layout.local_pools_per_enclosure();
     pools_per_rack = layout.local_pools_per_rack();
     total_pools = cfg.dc.total_disks() / cfg.dc.disks_per_enclosure * pools_per_enclosure;
-    lambda_hour = cfg.failures.afr / units::kHoursPerYear;
-    pool_rate = lambda_hour * static_cast<double>(pool_disks);
-
-    model.code = cfg.code.local;
-    model.pool_disks = pool_disks;
-    model.clustered = local_clustered;
-    model.priority_repair = cfg.priority_repair;
-    model.detection_hours = cfg.detection_hours;
-    model.disk_capacity_tb = cfg.dc.disk_capacity_tb;
-    model.chunk_kb = cfg.dc.chunk_kb;
-    model.disk_eff_mbps = cfg.bandwidth.effective_disk_mbps();
-    model.finalize();
+    pool_rate = cfg.failures.afr / units::kHoursPerYear * static_cast<double>(model.pool_disks);
 
     // Network-level code model: the zero-width default means classic RS
     // over cfg.code.network; anything else must keep that shape's counts.
@@ -147,7 +136,7 @@ class FleetSimContext {
       MLEC_REQUIRE(disk < cfg.dc.total_disks(), "injected failure names a disk outside the fleet");
       const std::size_t enc = disk / cfg.dc.disks_per_enclosure;
       const std::size_t within = (disk % cfg.dc.disks_per_enclosure) /
-                                 (local_clustered ? pool_disks : cfg.dc.disks_per_enclosure);
+                                 (model.clustered ? model.pool_disks : cfg.dc.disks_per_enclosure);
       pool_of[i] = static_cast<std::uint32_t>(enc * pools_per_enclosure + within);
       ++injected_begin[pool_of[i] + 1];
     }
@@ -172,7 +161,7 @@ class FleetSimContext {
   /// Network-rebuilt volume for one catastrophe, from the realized state.
   double network_volume_tb(double unrebuilt_tb, std::size_t f, double stripe_frac) const {
     const double chunk_frac = std::min(
-        1.0, stripe_frac * static_cast<double>(pool_disks) /
+        1.0, stripe_frac * static_cast<double>(model.pool_disks) /
                  static_cast<double>(cfg.code.local_width()));
     switch (cfg.method) {
       case RepairMethod::kRepairAll:
@@ -236,14 +225,14 @@ constexpr std::size_t kExpBatch = 128;
 
 /// One engine's mission, in two phases over the caller's Rng.
 ///
-/// Phase 1 walks the local pools one after another, each on its own
-/// Poisson failure stream merged with the pool's injected failures, through
-/// one reused LocalPoolState. Pools interact only through catastrophes, so
-/// the walk records just those and the failures that deepen them. Phase 2
-/// sorts the records into one timeline and replays the network-level
-/// coupling — repair expiry, incremental lost fractions, the loss draw.
-/// All working storage lives on the engine and keeps its capacity across
-/// missions.
+/// Phase 1 walks the local pools one after another through walk_pool, each
+/// on its own Poisson failure stream merged with the pool's injected
+/// failures, in one reused LocalPoolState. Pools interact only through
+/// catastrophes, so the walk records just those and the failures that
+/// deepen them. Phase 2 sorts the records into one timeline and replays the
+/// network-level coupling — repair expiry, incremental lost fractions, the
+/// loss draw. All working storage lives on the engine and keeps its
+/// capacity across missions.
 struct FleetMissionEngine::Impl {
   std::shared_ptr<const FleetSimContext> context_;
   const FleetSimContext& ctx_;
@@ -276,11 +265,11 @@ struct FleetMissionEngine::Impl {
     replay_couplings();
   }
 
-  /// Phase 1. Returns the failures walked.
+  /// Phase 1: every pool through walk_pool, each pool's overshooting
+  /// arrival carried to the next as its first. Returns the failures walked.
   std::uint64_t walk_pools() {
     const double mission = ctx_.cfg.mission_hours;
     const std::uint64_t n_injected = ctx_.cfg.injected_events.size();
-    const PoolRepairModel& model = ctx_.model;
     const InjectedFailure* const filed = ctx_.injected.data();
     const std::uint32_t* const filed_begin = ctx_.injected_begin.data();
     cats_.clear();
@@ -289,42 +278,27 @@ struct FleetMissionEngine::Impl {
     std::uint64_t walked = 0;
     double next_fail = next_gap(0.0, 0);
     for (std::uint32_t pool = 0; pool < ctx_.total_pools; ++pool, next_fail -= mission) {
-      const InjectedFailure* inj = filed + filed_begin[pool];
-      const InjectedFailure* const inj_end = filed + filed_begin[pool + 1];
-      state_.reset(model);
-      double repair_until = -std::numeric_limits<double>::infinity();
-      while (true) {
-        const bool injected = inj != inj_end && inj->time <= next_fail;
-        const double t = injected ? inj->time : next_fail;
-        if (t >= mission) break;
-        std::uint64_t order;
-        if (injected) {
-          order = inj->order;
-          ++inj;
-        } else {
-          order = n_injected + pool;
-          next_fail = t + next_gap(t, pool);
-        }
-        ++walked;
-        if (t < repair_until) {
-          // Network repair owns the pool: the failure deepens the damage.
-          couple(t, order, cats_.size() - 1, false);
-          continue;
-        }
-        if (!state_.fail(t, model)) continue;
-        // Catastrophic local pool: realized state, network exposure; the
-        // pool restarts fresh once its network repair ends.
-        const std::size_t f_after = state_.concurrent_failures(model);
-        const double frac = state_.lost_stripe_fraction(model);
-        const double volume = ctx_.network_volume_tb(state_.unrebuilt_tb(model), f_after, frac);
-        const double exposure = ctx_.cfg.detection_hours + volume / ctx_.net_bw_tb_h;
-        repair_until = t + exposure;
-        couple(t, order, cats_.size(), true);
-        const RackId rack = ctx_.rack_of_pool(pool);
-        const std::uint32_t network_pool = ctx_.network_pool_of(pool);
-        cats_.push_back({pool, rack, network_pool, repair_until, frac, f_after, exposure, volume});
-        state_.reset(model);
-      }
+      const std::uint64_t sampled_order = n_injected + pool;
+      walked += walk_pool(
+          state_, ctx_.model, mission, next_fail,
+          {filed + filed_begin[pool], filed + filed_begin[pool + 1]},
+          [&](double t) { return next_gap(t, pool); },
+          [&](double t, const InjectedFailure* inj) {
+            // Catastrophic local pool: realized state and network exposure.
+            const std::size_t f_after = state_.concurrent_failures(ctx_.model);
+            const double frac = state_.lost_stripe_fraction(ctx_.model);
+            const double volume =
+                ctx_.network_volume_tb(state_.unrebuilt_tb(ctx_.model), f_after, frac);
+            const double exposure = ctx_.cfg.detection_hours + volume / ctx_.net_bw_tb_h;
+            couple(t, inj ? inj->order : sampled_order, cats_.size(), true);
+            cats_.push_back({pool, ctx_.rack_of_pool(pool), ctx_.network_pool_of(pool),
+                             t + exposure, frac, f_after, exposure, volume});
+            return t + exposure;
+          },
+          [&](double t, const InjectedFailure* inj) {
+            // Network repair owns the pool: the failure deepens the damage.
+            couple(t, inj ? inj->order : sampled_order, cats_.size() - 1, false);
+          });
     }
     return walked;
   }
@@ -335,13 +309,12 @@ struct FleetMissionEngine::Impl {
     couplings_.push_back({t, order, seq, static_cast<std::uint32_t>(cat), opens});
   }
 
-  /// Phase 2: the recorded couplings in fleet time order, up to the first
-  /// loss under stop_on_loss.
+  /// Phase 2: the recorded couplings in fleet time order, up to the
+  /// mission's first loss.
   void replay_couplings() {
     if (couplings_.empty()) return;
     std::sort(couplings_.begin(), couplings_.end());
     active_.clear();
-    bool lost_this_mission = false;
     for (const Coupling& e : couplings_) {
       const double t = e.time;
       std::erase_if(active_, [&](std::uint32_t c) { return cats_[c].until <= t; });
@@ -364,18 +337,14 @@ struct FleetMissionEngine::Impl {
         // overlaps were already tested at the old fraction when they formed.
         ++cat.failed_disks;
         const double prev_frac = cat.lost_fraction;
-        if (!ctx_.local_clustered)
+        if (!ctx_.model.clustered)
           cat.lost_fraction = ctx_.model.declustered_lost_fraction(cat.failed_disks);
         lost = check_data_loss(cat, prev_frac);
       }
       if (!lost) continue;
-      ++result_->data_loss_events;
-      if (!lost_this_mission) {
-        lost_this_mission = true;
-        ++result_->data_loss_missions;
-        result_->loss_time_hours.add(t);
-      }
-      if (ctx_.cfg.stop_on_loss) return;
+      ++result_->data_loss_missions;
+      result_->loss_time_hours.add(t);
+      return;
     }
   }
 

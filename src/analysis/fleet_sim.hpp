@@ -5,19 +5,21 @@
 // FleetSim keeps per-pool *counts*: each local pool tracks its concurrent
 // failures, rebuild progress, and — for declustered pools — the priority-
 // reconstruction critical window, via the same shared state machine
-// (sim/pool_state.hpp) that sim/local_pool_sim.hpp runs for one pool.
-// Catastrophic pools enter a network-repair exposure whose
-// duration depends on the repair method and the realized lost-stripe
-// fraction; data loss occurs when p_n+1 catastrophic pools overlap in the
-// same network pool (clustered network placement) or in distinct racks
-// (declustered), thinned by the stripe-coverage probability for the
-// chunk-aware repair methods (the paper's §4.2.3 F#1).
+// (sim/pool_state.hpp) that sim/local_pool_sim.hpp runs for one pool, and
+// the pool's physics comes from the same LocalPoolSimConfig
+// (FleetSimConfig::local_pool()). Catastrophic pools enter a network-repair
+// exposure whose duration depends on the repair method and the realized
+// lost-stripe fraction; data loss occurs when p_n+1 catastrophic pools
+// overlap in the same network pool (clustered network placement) or in
+// distinct racks (declustered), thinned by the stripe-coverage probability
+// for the chunk-aware repair methods (the paper's §4.2.3 F#1).
 //
-// A mission is pool-major (DESIGN.md §10): it walks each local pool on its
-// own exponential failure stream, merged with the pool's injected bursts or
-// replayed trace events, and records only catastrophes and the failures
-// that deepen them; a second phase replays those records in fleet time
-// order to test the network-level overlaps.
+// A mission is pool-major (DESIGN.md §10): it walks each local pool through
+// stage 1's loop (walk_pool, sim/pool_state.hpp) on its own exponential
+// failure stream, merged with the pool's injected bursts or replayed trace
+// events, and records only catastrophes and the failures that deepen them;
+// a second phase replays those records in fleet time order to test the
+// network-level overlaps. Every mission stops at its first data loss.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include "placement/codes.hpp"
 #include "placement/schemes.hpp"
 #include "sim/failure_gen.hpp"
+#include "sim/local_pool_sim.hpp"
 #include "topology/bandwidth.hpp"
 #include "topology/topology.hpp"
 #include "util/rng.hpp"
@@ -54,25 +57,24 @@ struct FleetSimConfig {
   LevelCode network_level = LevelCode::make_rs({0, 0});
   /// Deterministic events merged into every mission (bursts, trace replay).
   FailureTrace injected_events{};
-  /// Stop each mission at its first data loss (PDL estimation). When false,
-  /// losses are counted and the mission continues (loss-rate estimation).
-  bool stop_on_loss = true;
 
   void validate() const;
+  /// One local pool of this fleet, as stage 1 simulates it: the one place
+  /// a pool's physics is built from the fleet's parameters.
+  LocalPoolSimConfig local_pool() const;
 };
 
 struct FleetSimResult {
   std::uint64_t missions = 0;
   std::uint64_t data_loss_missions = 0;
-  std::uint64_t data_loss_events = 0;
   std::uint64_t catastrophic_pool_events = 0;
   RunningStats loss_time_hours;
   RunningStats catastrophe_exposure_hours;
   /// Cross-rack repair traffic accumulated over all missions (TB).
   double cross_rack_tb = 0;
   /// Perf counters (DESIGN.md §10): failures walked (every failure of the
-  /// mission, including any after a stopping loss) and RNG variates drawn
-  /// (batch refills included).
+  /// mission, including any after its loss) and RNG variates drawn (batch
+  /// refills included).
   std::uint64_t events_processed = 0;
   std::uint64_t rng_draws = 0;
 

@@ -54,19 +54,7 @@ FleetSimConfig Scenario::fleet_config() const {
 }
 
 LocalPoolSimConfig Scenario::local_pool_config() const {
-  const PoolLayout layout(system.dc, system.code, system.scheme);
-  LocalPoolSimConfig cfg;
-  cfg.code = system.code.local;
-  cfg.placement = local_placement(system.scheme);
-  cfg.pool_disks = layout.local_pool_disks();
-  cfg.disk_capacity_tb = system.dc.disk_capacity_tb;
-  cfg.chunk_kb = system.dc.chunk_kb;
-  cfg.afr = system.afr;
-  cfg.detection_hours = system.detection_hours;
-  cfg.bandwidth = system.bandwidth;
-  cfg.mission_hours = system.mission_hours;
-  cfg.priority_repair = priority_repair;
-  return cfg;
+  return fleet_config().local_pool();
 }
 
 BurstPdlConfig Scenario::burst_config() const {

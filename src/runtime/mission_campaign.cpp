@@ -15,8 +15,9 @@ std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
   // the inverse CDF. v4: clustered rebuilds on the closed-form clock. v5:
   // block b draws from substream b, whatever worker runs it. v6: each local
   // pool walks its own failure stream, pools coupled only at catastrophes,
-  // and no arena_allocations slot. v7: no disk_failures slot.
-  os << "fleet-v7;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
+  // and no arena_allocations slot. v7: no disk_failures slot. v8: every
+  // mission stops at its first loss, and no data_loss_events slot.
+  os << "fleet-v8;dc=" << config.dc.racks << 'x' << config.dc.enclosures_per_rack << 'x'
      << config.dc.disks_per_enclosure << ";disk_tb=" << config.dc.disk_capacity_tb
      << ";chunk_kb=" << config.dc.chunk_kb << ";code=" << config.code.notation()
      << ";scheme=" << to_string(config.scheme) << ";method=" << to_string(config.method)
@@ -24,8 +25,7 @@ std::string fleet_campaign_fingerprint(const FleetSimConfig& config) {
      << config.bandwidth.repair_fraction
      << ";afr=" << config.failures.afr
      << ";detect=" << config.detection_hours << ";mission=" << config.mission_hours
-     << ";priority=" << config.priority_repair << ";stop_on_loss=" << config.stop_on_loss
-     << ";injected=" << config.injected_events.size();
+     << ";priority=" << config.priority_repair << ";injected=" << config.injected_events.size();
   for (const auto& ev : config.injected_events) os << ',' << ev.time_hours << ':' << ev.disk;
   return os.str();
 }

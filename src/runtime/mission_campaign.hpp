@@ -186,7 +186,6 @@ struct MissionSchema<FleetSimResult> {
   static constexpr std::array slots{
       counter_slot("missions", &FleetSimResult::missions),
       counter_slot("data_loss_missions", &FleetSimResult::data_loss_missions),
-      counter_slot("data_loss_events", &FleetSimResult::data_loss_events),
       counter_slot("catastrophic_pool_events", &FleetSimResult::catastrophic_pool_events),
       scalar_slot("cross_rack_tb", &FleetSimResult::cross_rack_tb),
       stats_slot("loss_time_hours", &FleetSimResult::loss_time_hours),

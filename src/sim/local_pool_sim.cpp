@@ -1,10 +1,5 @@
 #include "sim/local_pool_sim.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "math/combin.hpp"
-#include "sim/pool_state.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -22,11 +17,6 @@ void LocalPoolSimConfig::validate() const {
   MLEC_REQUIRE(disk_capacity_tb > 0.0 && chunk_kb > 0.0, "capacity/chunk must be positive");
 }
 
-double LocalPoolSimConfig::stripes_in_pool() const {
-  const double chunks_per_disk = disk_capacity_tb * 1e12 / (chunk_kb * 1e3);
-  return static_cast<double>(pool_disks) * chunks_per_disk / static_cast<double>(code.width());
-}
-
 PoolRepairModel LocalPoolSimConfig::repair_model() const {
   PoolRepairModel model;
   model.code = code;
@@ -41,12 +31,11 @@ PoolRepairModel LocalPoolSimConfig::repair_model() const {
   return model;
 }
 
-LocalPoolEngine::LocalPoolEngine(const LocalPoolSimConfig& config, std::size_t max_samples)
-    : mission_hours_(config.mission_hours), max_samples_(max_samples) {
+LocalPoolEngine::LocalPoolEngine(const LocalPoolSimConfig& config)
+    : mission_hours_(config.mission_hours) {
   config.validate();
   const double lambda = config.afr / units::kHoursPerYear;  // per disk-hour
   pool_rate_ = lambda * static_cast<double>(config.pool_disks);
-  stripes_in_pool_ = config.stripes_in_pool();
   model_ = config.repair_model();
 }
 
@@ -54,32 +43,28 @@ void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
   ++into.missions;
   into.pool_years = static_cast<double>(into.missions) * mission_hours_ / units::kHoursPerYear;
 
-  // The pool state is reused across missions: reset() keeps its capacity,
-  // so the mission loop allocates nothing. Nothing observable happens
-  // between arrivals, so the pool steps only at failures.
-  pool_.reset(model_);
-  double t = rng.exponential(pool_rate_);
-  ++into.rng_draws;
-  for (; t < mission_hours_; t += rng.exponential(pool_rate_), ++into.rng_draws) {
-    ++into.events_processed;
-    if (!pool_.fail(t, model_)) continue;
-    ++into.catastrophes;
-    if (into.samples.size() < max_samples_) {
-      CatastropheSample sample{};
-      sample.time_hours = t;
-      sample.concurrent_failures = static_cast<std::uint32_t>(pool_.concurrent_failures(model_));
-      sample.unrebuilt_tb = pool_.unrebuilt_tb(model_);
-      sample.lost_stripe_fraction = pool_.lost_stripe_fraction(model_);
-      sample.lost_local_stripes = sample.lost_stripe_fraction * stripes_in_pool_;
-      into.samples.push_back(sample);
-    }
-    pool_.reset(model_);
-  }
+  // The pool state is reused across missions: the walk's reset() keeps
+  // its capacity, so the mission loop allocates nothing. One variate per
+  // gap, the first arrival included.
+  auto next_gap = [&](double) {
+    ++into.rng_draws;
+    return rng.exponential(pool_rate_);
+  };
+  double first_arrival = next_gap(0.0);
+  into.events_processed += walk_pool(
+      pool_, model_, mission_hours_, first_arrival, {}, next_gap,
+      [&](double t, const InjectedFailure*) {
+        ++into.catastrophes;
+        into.samples.push_back({.lost_stripe_fraction = pool_.lost_stripe_fraction(model_),
+                                .unrebuilt_tb = pool_.unrebuilt_tb(model_)});
+        return t;  // no network repair holds the pool
+      },
+      [](double, const InjectedFailure*) {});
 }
 
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& cfg, std::uint64_t missions,
-                                       Rng& rng, std::size_t max_samples) {
-  LocalPoolEngine engine(cfg, max_samples);
+                                       Rng& rng) {
+  LocalPoolEngine engine(cfg);
   LocalPoolSimResult result;
   for (std::uint64_t m = 0; m < missions; ++m) engine.run_mission(rng, result);
   return result;

@@ -4,8 +4,11 @@
 // Simulates one local pool (clustered: k_l+p_l disks; declustered: a whole
 // enclosure) under independent disk failures with detection delay and
 // bandwidth-limited rebuild, and records every catastrophic (locally-
-// unrecoverable) event together with the state needed by stage 2: how many
-// local stripes were lost, and how much data the failed disks held.
+// unrecoverable) event together with the state needed by stage 2: the
+// fraction of local stripes lost, and how much data the failed disks held.
+// A mission is one walk_pool (sim/pool_state.hpp) of one pool with no
+// injected failures and no network repair: the fleet simulator walks each
+// of its pools through the same loop.
 //
 // Modeling notes (documented deviations are cross-checked against the
 // Markov closed forms in tests):
@@ -58,8 +61,6 @@ struct LocalPoolSimConfig {
   bool priority_repair = true;
 
   void validate() const;
-  /// Local stripes resident in the pool at full chunk density.
-  double stripes_in_pool() const;
   /// The shared pool-state physics (sim/pool_state.hpp) for this config.
   PoolRepairModel repair_model() const;
 };
@@ -67,11 +68,8 @@ struct LocalPoolSimConfig {
 /// State captured at one catastrophic local-pool failure; consumed by the
 /// splitting stage 2 (analysis/splitting.hpp).
 struct CatastropheSample {
-  double time_hours;                ///< when within the mission it happened
-  std::uint32_t concurrent_failures;///< failed disks at that instant
-  double lost_local_stripes;        ///< stripes with >= p_l+1 lost chunks
-  double lost_stripe_fraction;      ///< lost stripes / stripes in pool
-  double unrebuilt_tb;              ///< data still missing across failed disks
+  double lost_stripe_fraction;  ///< stripes with >= p_l+1 lost chunks / stripes in pool
+  double unrebuilt_tb;          ///< data still missing across failed disks
 };
 
 struct LocalPoolSimResult {
@@ -107,21 +105,19 @@ struct LocalPoolSimResult {
 /// campaign worker can re-seat it on each block's substream.
 class LocalPoolEngine {
  public:
-  explicit LocalPoolEngine(const LocalPoolSimConfig& config, std::size_t max_samples = 10000);
+  explicit LocalPoolEngine(const LocalPoolSimConfig& config);
 
   /// Simulate one mission, accumulating into `into`: the missions counter
   /// goes up by one and pool_years becomes missions x mission length, so N
   /// calls on a fresh result equal simulate_local_pool(N) bit for bit.
-  /// After each catastrophe the pool is reset (network-level repair is
-  /// stage 2's concern) and the mission continues, so the estimator is a
-  /// rate, not a first-passage probability.
+  /// Every catastrophe is sampled. After each one the pool is reset
+  /// (network-level repair is stage 2's concern) and the mission continues,
+  /// so the estimator is a rate, not a first-passage probability.
   void run_mission(Rng& rng, LocalPoolSimResult& into);
 
  private:
   double mission_hours_ = 0.0;
   double pool_rate_ = 0.0;  ///< pool-wide failure rate per hour
-  double stripes_in_pool_ = 0.0;
-  std::size_t max_samples_ = 0;
   PoolRepairModel model_;
   LocalPoolState pool_;
 };
@@ -130,6 +126,6 @@ class LocalPoolEngine {
 /// Parallel, resumable or cancellable runs go through run_local_pool_campaign
 /// (runtime/mission_campaign.hpp).
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& config, std::uint64_t missions,
-                                       Rng& rng, std::size_t max_samples = 10000);
+                                       Rng& rng);
 
 }  // namespace mlec

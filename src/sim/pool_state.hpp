@@ -1,4 +1,5 @@
-// Shared per-pool failure/rebuild/critical-window state machine.
+// Shared per-pool failure/rebuild/critical-window state machine, and the
+// one walk that steps a pool through a mission.
 //
 // One local pool's life between catastrophes is the same whether it is
 // simulated alone (sim/local_pool_sim.hpp, the splitting stage 1) or as one
@@ -6,7 +7,7 @@
 // fail, sit undetected for `detection_hours`, then rebuild at a placement-
 // dependent bandwidth; declustered pools with priority reconstruction carry
 // a critical window during which one more failure is fatal. Both simulators
-// include this header so the physics exists exactly once.
+// include this header so the physics and the walk exist exactly once.
 //
 //  * PoolRepairModel — immutable per-run rebuild physics (Table 2 rates,
 //    hypergeometric lost-stripe fractions, critical-window lengths).
@@ -15,12 +16,15 @@
 //    rebuilds run independently on a closed-form clock, and in-flight
 //    failures walked over piecewise-constant segments for declustered ones,
 //    whose rebuilds share the pool's bandwidth.
+//  * walk_pool — the one loop that steps a pool through a mission. Stage 1
+//    walks one pool with no network repair; the fleet walks every pool.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "math/combin.hpp"
@@ -277,5 +281,52 @@ class LocalPoolState {
   double clear_at_ = -std::numeric_limits<double>::infinity();
   double last_advance_ = 0.0;
 };
+
+/// One injected (burst or trace) failure of a pool.
+struct InjectedFailure {
+  double time;
+  std::uint32_t order;  ///< index in the trace: the tie order at equal times
+};
+
+/// Walk one local pool, from a fresh state, through a mission.
+///
+/// Sampled arrivals (the first at `next_arrival`, each next one
+/// `next_gap(t)` after a sampled failure at t) merge with the pool's
+/// time-sorted `injected` failures, an injected one first at an equal time.
+/// Each failure steps `state`. At a catastrophe, `on_catastrophe(t, inj)`
+/// reads the realized state and returns when network repair ends; the pool
+/// restarts fresh, and failures before that end go to `on_held(t, inj)`
+/// (deepenings) instead of the pool. `inj` is the failure's injected entry,
+/// null for a sampled one. Returns the failures walked, held ones included,
+/// and leaves `next_arrival` at the first sampled arrival at or past
+/// mission end. Forced inline, so each caller compiles to one loop with its
+/// gap source and callbacks folded in.
+template <typename NextGap, typename OnCatastrophe, typename OnHeld>
+[[gnu::always_inline]] inline std::uint64_t walk_pool(
+    LocalPoolState& state, const PoolRepairModel& m, double mission_hours,
+    double& next_arrival, std::span<const InjectedFailure> injected, NextGap&& next_gap,
+    OnCatastrophe&& on_catastrophe, OnHeld&& on_held) {
+  const InjectedFailure* inj = injected.data();
+  const InjectedFailure* const inj_end = inj + injected.size();
+  double held_until = -std::numeric_limits<double>::infinity();
+  std::uint64_t walked = 0;
+  state.reset(m);
+  while (true) {
+    const bool is_injected = inj != inj_end && inj->time <= next_arrival;
+    const double t = is_injected ? inj->time : next_arrival;
+    if (t >= mission_hours) break;
+    const InjectedFailure* const source = is_injected ? inj++ : nullptr;
+    if (!is_injected) next_arrival = t + next_gap(t);
+    ++walked;
+    if (t < held_until) {
+      on_held(t, source);
+      continue;
+    }
+    if (!state.fail(t, m)) continue;
+    held_until = on_catastrophe(t, source);
+    state.reset(m);
+  }
+  return walked;
+}
 
 }  // namespace mlec

@@ -971,7 +971,7 @@ TEST(Campaign, ResumeRefusesJournalsOfTheInverseCdfSampler) {
   // two streams.
   const auto fleet = small_fleet();
   expect_old_schedule_refused(
-      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v7", "fleet-v2",
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v8", "fleet-v2",
       [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
 
   const LocalPoolSimConfig pool = hot_pool();
@@ -988,7 +988,7 @@ TEST(Campaign, ResumeRefusesJournalsOfTheSteppedClusteredClock) {
   // journals count detections and completions as events.
   const auto fleet = small_fleet();
   expect_old_schedule_refused(
-      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v7", "fleet-v3",
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v8", "fleet-v3",
       [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
 
   const LocalPoolSimConfig pool = hot_pool();
@@ -1006,7 +1006,7 @@ TEST(Campaign, ResumeRefusesJournalsOfTheFleetWideFailureStream) {
   // as events.
   const auto fleet = small_fleet();
   expect_old_schedule_refused(
-      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v7", "fleet-v5",
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v8", "fleet-v5",
       [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
 
   const LocalPoolSimConfig pool = hot_pool();
@@ -1022,7 +1022,16 @@ TEST(Campaign, ResumeRefusesFleetJournalsWithADiskFailuresSlot) {
   // has; their draws are the same, but the slot layout is not.
   const auto fleet = small_fleet();
   expect_old_schedule_refused(
-      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v7", "fleet-v6",
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v8", "fleet-v6",
+      [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
+}
+
+TEST(Campaign, ResumeRefusesFleetJournalsWithADataLossEventsSlot) {
+  // fleet-v7 journals carry a data_loss_events counter, written while a
+  // mission could run on past its first loss; the slot layout differs.
+  const auto fleet = small_fleet();
+  expect_old_schedule_refused(
+      "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v8", "fleet-v7",
       [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
 }
 
@@ -1047,7 +1056,7 @@ TEST(Campaign, JournalBytesArePinned) {
   FleetSimConfig fleet = small_fleet();
   fleet.failures.afr = 2.0;  // a few losses, so every fleet slot holds data
   ASSERT_TRUE(run_fleet_campaign(fleet, campaign).report.complete());
-  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0x277a16515462f650ULL);
+  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0x75193f6f997b4515ULL);
   std::remove(campaign.checkpoint_path.c_str());
 
   LocalPoolSimConfig pool;

@@ -69,7 +69,6 @@ TEST(FleetSim, SameSeedIsBitIdentical) {
   const auto b = simulate_fleet(cfg, 120, 7);
   EXPECT_EQ(a.missions, b.missions);
   EXPECT_EQ(a.data_loss_missions, b.data_loss_missions);
-  EXPECT_EQ(a.data_loss_events, b.data_loss_events);
   EXPECT_EQ(a.catastrophic_pool_events, b.catastrophic_pool_events);
   EXPECT_EQ(a.cross_rack_tb, b.cross_rack_tb);
   EXPECT_EQ(a.events_processed, b.events_processed);
@@ -215,16 +214,6 @@ TEST(FleetSim, ParallelShardingMatchesSerialStatistically) {
   const double a = static_cast<double>(serial.catastrophic_pool_events);
   const double b = static_cast<double>(parallel.catastrophic_pool_events);
   EXPECT_NEAR(a, b, 4.0 * std::sqrt(a + b) + 5.0);
-}
-
-TEST(FleetSim, StopOnLossVersusCounting) {
-  auto cfg = hot_fleet(MlecScheme::kDC);
-  cfg.code = {{2, 1}, {3, 1}};
-  cfg.failures.afr = 0.8;
-  cfg.method = RepairMethod::kRepairAll;
-  cfg.stop_on_loss = false;
-  const auto counting = simulate_fleet(cfg, 150, 9);
-  EXPECT_GE(counting.data_loss_events, counting.data_loss_missions);
 }
 
 TEST(FleetSim, NoFailuresNoLoss) {
@@ -403,10 +392,6 @@ TEST(FleetSim, StopOnLossCountsOnlyCatastrophesUpToTheLoss) {
     } else {
       EXPECT_EQ(stopped.events_processed, cfg.injected_events.size() * missions);
     }
-
-    cfg.stop_on_loss = false;
-    const auto counting = simulate_fleet(cfg, missions, 3);
-    EXPECT_GE(counting.catastrophic_pool_events, 3 * missions);
   }
 }
 
@@ -417,6 +402,20 @@ TEST(FleetSim, ValidatesConfig) {
   cfg = toy_fleet();
   cfg.injected_events = {{1.0, static_cast<DiskId>(cfg.dc.total_disks())}};
   EXPECT_THROW(simulate_fleet(cfg, 1, 1), PreconditionError);
+  // A non-positive or NaN AFR is refused up front, by the campaign too;
+  // an AFR of 1 or more is a legal (hot) fleet.
+  for (const double afr : {0.0, -0.1, std::nan("")}) {
+    SCOPED_TRACE("afr " + std::to_string(afr));
+    cfg = toy_fleet();
+    cfg.failures.afr = afr;
+    EXPECT_THROW(simulate_fleet(cfg, 1, 1), PreconditionError);
+    CampaignConfig campaign;
+    campaign.total_units = 4;
+    EXPECT_THROW(run_fleet_campaign(cfg, campaign), PreconditionError);
+  }
+  cfg = toy_fleet();
+  cfg.failures.afr = 2.0;
+  EXPECT_NO_THROW(simulate_fleet(cfg, 1, 1));
 }
 
 }  // namespace

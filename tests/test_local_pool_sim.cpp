@@ -75,13 +75,13 @@ TEST(LocalPoolSim, SamplesDescribeCatastrophes) {
   Rng rng(7);
   const auto result = simulate_local_pool(clustered_cfg(0.9), 3000, rng);
   ASSERT_FALSE(result.samples.empty());
+  EXPECT_EQ(result.samples.size(), result.catastrophes);  // every one sampled
   for (const auto& s : result.samples) {
-    EXPECT_GE(s.concurrent_failures, 3u);  // p+1
     EXPECT_GE(s.lost_stripe_fraction, 0.0);
     EXPECT_LE(s.lost_stripe_fraction, 1.0);
-    EXPECT_GT(s.unrebuilt_tb, 0.0);
-    EXPECT_GE(s.time_hours, 0.0);
-    EXPECT_LE(s.time_hours, 8766.0);
+    // p+1 = 3 failed disks: two still rebuilding and the newest, with all
+    // of its capacity missing.
+    EXPECT_GT(s.unrebuilt_tb, clustered_cfg(0.9).disk_capacity_tb);
   }
 }
 
@@ -109,9 +109,6 @@ void expect_identical(const LocalPoolSimResult& a, const LocalPoolSimResult& b) 
   EXPECT_EQ(a.rng_draws, b.rng_draws);
   ASSERT_EQ(a.samples.size(), b.samples.size());
   for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].time_hours, b.samples[i].time_hours);
-    EXPECT_EQ(a.samples[i].concurrent_failures, b.samples[i].concurrent_failures);
-    EXPECT_EQ(a.samples[i].lost_local_stripes, b.samples[i].lost_local_stripes);
     EXPECT_EQ(a.samples[i].lost_stripe_fraction, b.samples[i].lost_stripe_fraction);
     EXPECT_EQ(a.samples[i].unrebuilt_tb, b.samples[i].unrebuilt_tb);
   }

@@ -178,14 +178,17 @@ TEST(LrcFleetSim, CrossRackTrafficBeatsRsAtTheSameSeed) {
   cfg.scheme = MlecScheme::kCC;
   cfg.method = RepairMethod::kRepairFailedOnly;
   cfg.failures.afr = 0.4;
-  cfg.stop_on_loss = false;  // identical event streams for both families
 
   const auto rs = simulate_fleet(cfg, 150, /*seed=*/42);
   cfg.network_level = LevelCode::make_lrc(kNetLrc);
   const auto lrc = simulate_fleet(cfg, 150, /*seed=*/42);
 
   // Same failure process, same catastrophes; only the repair fan-in and the
-  // loss accounting differ.
+  // loss accounting differ. A loss would stop its mission's replay early
+  // and could stop the two families at different records, so the equal
+  // traffic counts below rest on neither family losing data at this seed.
+  ASSERT_EQ(rs.data_loss_missions, 0u);
+  ASSERT_EQ(lrc.data_loss_missions, 0u);
   ASSERT_EQ(rs.events_processed, lrc.events_processed);
   ASSERT_EQ(rs.catastrophic_pool_events, lrc.catastrophic_pool_events);
   ASSERT_GT(rs.catastrophic_pool_events, 0u);

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,144 @@ TEST(LocalPoolState, ResetForgetsEverything) {
     ASSERT_FALSE(pool.fail(0.0, m));  // opens the declustered critical window
     pool.reset(m);
     EXPECT_FALSE(pool.fail(0.0, m));
+  }
+}
+
+// walk_pool, driven by hand-written arrivals: a gap source that hands out a
+// fixed list of gaps (then one past any mission) and records the failure
+// times it was asked at, and callbacks that record what they see.
+struct ScriptedWalk {
+  std::vector<double> gaps;
+  std::size_t next = 0;
+  std::vector<double> gap_asked_at;
+  std::vector<double> catastrophes;
+  std::vector<const InjectedFailure*> catastrophe_sources;
+  std::vector<double> held;
+  double hold_hours = 0.0;  ///< the catastrophe callback holds the pool this long
+
+  std::uint64_t run(LocalPoolState& state, const PoolRepairModel& m, double mission_hours,
+                    double& first_arrival, std::span<const InjectedFailure> injected) {
+    return walk_pool(
+        state, m, mission_hours, first_arrival, injected,
+        [&](double t) {
+          gap_asked_at.push_back(t);
+          return next < gaps.size() ? gaps[next++] : 1e9;
+        },
+        [&](double t, const InjectedFailure* inj) {
+          catastrophes.push_back(t);
+          catastrophe_sources.push_back(inj);
+          return t + hold_hours;
+        },
+        [&](double t, const InjectedFailure*) { held.push_back(t); });
+  }
+};
+
+TEST(WalkPool, InjectedFailureGoesBeforeASampledOneAtAnEqualTime) {
+  // p_l = 1, so the second of two failures at t = 10 is the catastrophe:
+  // the sampled one, because the injected one stepped the pool first.
+  const auto m = clustered_model();
+  LocalPoolState state;
+  const std::vector<InjectedFailure> injected = {{10.0, 0}};
+  ScriptedWalk walk;
+  double arrival = 10.0;
+  EXPECT_EQ(walk.run(state, m, 100.0, arrival, injected), 2u);
+  ASSERT_EQ(walk.catastrophes.size(), 1u);
+  EXPECT_EQ(walk.catastrophes[0], 10.0);
+  EXPECT_EQ(walk.catastrophe_sources[0], nullptr);
+  // One sampled failure, so one gap, asked at its time.
+  EXPECT_EQ(walk.gap_asked_at, std::vector<double>{10.0});
+
+  // An earlier sampled failure goes first, and the injected one is fatal.
+  ScriptedWalk earlier;
+  arrival = 9.0;
+  EXPECT_EQ(earlier.run(state, m, 100.0, arrival, injected), 2u);
+  ASSERT_EQ(earlier.catastrophe_sources.size(), 1u);
+  EXPECT_EQ(earlier.catastrophe_sources[0], &injected[0]);
+}
+
+TEST(WalkPool, FailuresBeforeTheHoldEndAreHeldAndTheEndGoesToThePool) {
+  // Sampled failures at 10, 10, 12, 15 and 15.5; the catastrophe at the
+  // second holds the pool until 15. The failure at 12 is held; the one at
+  // exactly 15 steps a fresh pool, and the one at 15.5 overlaps it.
+  const auto m = clustered_model();
+  LocalPoolState state;
+  ScriptedWalk walk;
+  walk.gaps = {0.0, 2.0, 3.0, 0.5};
+  walk.hold_hours = 5.0;
+  double arrival = 10.0;
+  const std::uint64_t walked = walk.run(state, m, 100.0, arrival, {});
+  EXPECT_EQ(walk.catastrophes, (std::vector<double>{10.0, 15.5}));
+  EXPECT_EQ(walk.held, std::vector<double>{12.0});
+  EXPECT_EQ(walked, 5u);  // the held failure is walked too
+}
+
+TEST(WalkPool, LeavesTheNextArrivalAtOrPastMissionEnd) {
+  const auto m = declustered_model();
+  LocalPoolState state;
+  // The last gap lands exactly on mission end: that arrival is not walked
+  // and is left for the caller.
+  ScriptedWalk exact;
+  exact.gaps = {20.0, 30.0, 40.0};
+  double arrival = 10.0;
+  EXPECT_EQ(exact.run(state, m, 100.0, arrival, {}), 3u);
+  EXPECT_EQ(arrival, 100.0);
+  // An overshoot is left as drawn; an injected failure at mission end is
+  // not walked either.
+  ScriptedWalk over;
+  over.gaps = {95.0};
+  const std::vector<InjectedFailure> injected = {{50.0, 0}, {100.0, 1}};
+  arrival = 10.0;
+  EXPECT_EQ(over.run(state, m, 100.0, arrival, injected), 2u);
+  EXPECT_EQ(arrival, 105.0);
+  // No failure inside the mission: nothing walked, no gap drawn.
+  ScriptedWalk none;
+  arrival = 250.0;
+  EXPECT_EQ(none.run(state, m, 100.0, arrival, {}), 0u);
+  EXPECT_EQ(arrival, 250.0);
+  EXPECT_TRUE(none.gap_asked_at.empty());
+}
+
+TEST(WalkPool, StageOneShapeMatchesAPlainFailureLoop) {
+  // No injected failures and a catastrophe callback that returns its own
+  // time: the walk is the plain loop that steps every sampled failure and
+  // resets the pool after each catastrophe.
+  for (const auto& m : {clustered_model(), declustered_model(), declustered_model(false)}) {
+    SCOPED_TRACE(m.clustered ? "clustered" : (m.priority_repair ? "declustered" : "no priority"));
+    constexpr double kMission = 8766.0;
+    constexpr double kRate = 4e-3;  // about 35 failures per mission
+    Rng walk_rng(31), plain_rng(31);
+
+    std::vector<double> walk_cats, plain_cats;
+    std::vector<double> walk_unrebuilt, plain_unrebuilt;
+    std::uint64_t walk_events = 0, plain_events = 0;
+    LocalPoolState state, plain;
+    for (int mission = 0; mission < 200; ++mission) {
+      double arrival = walk_rng.exponential(kRate);
+      walk_events += walk_pool(
+          state, m, kMission, arrival, {}, [&](double) { return walk_rng.exponential(kRate); },
+          [&](double t, const InjectedFailure* inj) {
+            EXPECT_EQ(inj, nullptr);
+            walk_cats.push_back(t);
+            walk_unrebuilt.push_back(state.unrebuilt_tb(m));
+            return t;
+          },
+          [&](double, const InjectedFailure*) { ADD_FAILURE() << "nothing is held"; });
+      EXPECT_GE(arrival, kMission);
+
+      plain.reset(m);
+      for (double t = plain_rng.exponential(kRate); t < kMission;
+           t += plain_rng.exponential(kRate)) {
+        ++plain_events;
+        if (!plain.fail(t, m)) continue;
+        plain_cats.push_back(t);
+        plain_unrebuilt.push_back(plain.unrebuilt_tb(m));
+        plain.reset(m);
+      }
+    }
+    ASSERT_GT(plain_cats.size(), 10u);
+    EXPECT_EQ(walk_events, plain_events);
+    EXPECT_EQ(walk_cats, plain_cats);
+    EXPECT_EQ(walk_unrebuilt, plain_unrebuilt);
   }
 }
 
