@@ -5,7 +5,7 @@
 // expected lost-local-stripe fraction at catastrophe — either from the
 // closed forms here (clustered pools: birth-death Markov chain; declustered
 // pools: the priority-reconstruction critical-window model) or from a
-// stage-1 pool simulation campaign (LocalPoolSummary::stats(),
+// stage-1 pool simulation campaign (run_local_pool_campaign,
 // runtime/mission_campaign.hpp).
 //
 // Stage 2 treats catastrophic pools as failing units at the network level

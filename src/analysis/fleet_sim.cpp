@@ -298,7 +298,8 @@ struct FleetMissionEngine::Impl {
           [&](double t, const InjectedFailure* inj) {
             // Network repair owns the pool: the failure deepens the damage.
             couple(t, inj ? inj->order : sampled_order, cats_.size() - 1, false);
-          });
+          },
+          [](double, double) {});
     }
     return walked;
   }

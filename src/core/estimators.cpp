@@ -172,14 +172,17 @@ class SplitEstimator final : public Estimator {
     e.method = std::string(name());
     e.samples = stage1_sim.missions;
     std::optional<LocalPoolStats> stage1;
-    if (stage1_sim.catastrophes > 0) {
-      stage1 = stage1_sim.stats();
+    if (stage1_sim.expected_catastrophes > 0.0) {
+      stage1 = LocalPoolStats{stage1_sim.catastrophe_rate_per_year(),
+                              stage1_sim.lost_stripe_fraction()};
       e.stochastic = true;
       e.provenance = "campaign-run stage-1 pool simulation feeding the closed-form stage 2";
     } else {
-      // Statistically valid but uninformative stage 1: fall back to the
-      // closed forms so the caller still gets a point estimate, and say so.
-      e.provenance = "stage-1 simulation observed 0 catastrophes; closed-form stage 1 substituted";
+      // No mission ever came within one failure of a catastrophe: fall back
+      // to the closed forms so the caller still gets a point estimate, and
+      // say so.
+      e.provenance =
+          "stage-1 simulation was never at risk of a catastrophe; closed-form stage 1 substituted";
     }
 
     const DurabilityEnv env = scenario.durability_env();
@@ -193,11 +196,11 @@ class SplitEstimator final : public Estimator {
     e.cat_rate_per_year = dur.system_cat_rate_per_year;
     e.coverage = dur.coverage;
     if (e.stochastic) {
-      // First-order propagation of the stage-1 Poisson error: the stage-2
+      // First-order propagation of the stage-1 rate's error: the stage-2
       // loss rate scales like the catastrophe rate to the (t+1)-th power
       // (t+1 overlapping pools, t = the network level's min tolerance =
       // p_n for MDS), so the relative error amplifies by that exponent.
-      const double rel = 1.959964 / std::sqrt(static_cast<double>(stage1_sim.catastrophes));
+      const double rel = 1.959964 * stage1_sim.rate_rse();
       const double amp = static_cast<double>(network->min_tolerance() + 1) * rel;
       e.pdl_lo = std::max(0.0, e.pdl * (1.0 - amp));
       e.pdl_hi = std::min(1.0, e.pdl * (1.0 + amp));

@@ -46,6 +46,14 @@ void CampaignConfig::validate() const {
 
 double bernoulli_rse(std::uint64_t successes, std::uint64_t trials) {
   if (successes == 0 || trials == 0) return std::numeric_limits<double>::infinity();
+  if (successes == trials) {
+    // At p = 1 the binomial spread reads 0, which would stop a campaign
+    // whose every mission so far lost data. Use the 95% Wilson interval's
+    // reach below 1 instead: its lower bound is n / (n + z^2), so
+    // (1 - lo) / z = z / (n + z^2).
+    constexpr double z = 1.959964;
+    return z / (static_cast<double>(trials) + z * z);
+  }
   const double p = static_cast<double>(successes) / static_cast<double>(trials);
   return std::sqrt((1.0 - p) / static_cast<double>(successes));
 }

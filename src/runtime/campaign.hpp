@@ -224,7 +224,8 @@ class CampaignRunner {
 };
 
 /// Relative standard error of a Bernoulli proportion estimate
-/// (sqrt((1-p)/(p n))); infinity until at least one success is observed.
+/// (sqrt((1-p)/(p n))); infinity until at least one success is observed,
+/// and (1 - Wilson lower bound) / 1.96 while every trial is a success.
 double bernoulli_rse(std::uint64_t successes, std::uint64_t trials);
 
 }  // namespace mlec

@@ -49,8 +49,9 @@ std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
   // v1 journals name another RNG schedule and must not resume. v3:
   // clustered rebuilds on the closed-form clock, with failures as the only
   // clustered events. v4: block b draws from substream b, whatever worker
-  // runs it. v5: failures are the only declustered events too.
-  os << "localpool-v5;code=" << config.code.k << '+' << config.code.p << ";placement="
+  // runs it. v5: failures are the only declustered events too. v6: the
+  // compensator sums replace the per-catastrophe statistics slots.
+  os << "localpool-v6;code=" << config.code.k << '+' << config.code.p << ";placement="
      << (config.placement == Placement::kClustered ? 'C' : 'D') << ";disks=" << config.pool_disks
      << ";disk_tb=" << config.disk_capacity_tb << ";chunk_kb=" << config.chunk_kb
      << ";afr=" << config.afr << ";detect=" << config.detection_hours
@@ -60,12 +61,12 @@ std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config) {
   return os.str();
 }
 
-MissionCampaignResult<LocalPoolSummary> run_local_pool_campaign(const LocalPoolSimConfig& config,
+MissionCampaignResult<LocalPoolSimResult> run_local_pool_campaign(const LocalPoolSimConfig& config,
                                                                 CampaignConfig campaign,
                                                                 ThreadPool* pool) {
   config.validate();
   campaign.fingerprint = local_pool_campaign_fingerprint(config);
-  return run_mission_campaign<LocalPoolSummary>(
+  return run_mission_campaign<LocalPoolSimResult>(
       std::move(campaign), [config] { return LocalPoolEngine(config); }, pool);
 }
 

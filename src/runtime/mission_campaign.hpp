@@ -3,11 +3,12 @@
 // splitting (Strategy 2, `split`), with checkpoint/resume, cancellation,
 // block fault isolation and adaptive stopping from the campaign runner.
 //
-// A campaign summary declares its journal slots once, as an ordered list of
+// A campaign summary, which is also what an engine's run_mission fills for
+// one mission, declares its journal slots once, as an ordered list of
 // (kind, journal name, member pointer) in MissionSchema<Summary>::slots.
 // The slot binding of a worker's accumulator, the summary's
-// reconstruction from the merged accumulator and the default per-mission
-// fold all derive from that list. The order of each kind's slots is the
+// reconstruction from the merged accumulator and the per-mission fold all
+// derive from that list. The order of each kind's slots is the
 // journal layout: renaming or reordering one stops old journals resuming.
 //
 // One campaign unit = one mission. Block b of B missions draws from
@@ -19,16 +20,13 @@
 #pragma once
 
 #include <array>
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 
-#include "analysis/durability.hpp"
 #include "analysis/fleet_sim.hpp"
 #include "runtime/campaign.hpp"
 #include "sim/local_pool_sim.hpp"
@@ -46,10 +44,6 @@ struct Slot {
   std::uint64_t Summary::*counter = nullptr;
   double Summary::*scalar = nullptr;
   RunningStats Summary::*stats = nullptr;
-
-  constexpr bool holds(std::uint64_t Summary::*member) const { return counter == member; }
-  constexpr bool holds(double Summary::*member) const { return scalar == member; }
-  constexpr bool holds(RunningStats Summary::*member) const { return stats == member; }
 };
 
 template <typename Summary>
@@ -65,9 +59,8 @@ constexpr Slot<Summary> stats_slot(const char* name, RunningStats Summary::*memb
   return {SlotKind::kStats, name, nullptr, nullptr, member};
 }
 
-/// Specialized once per campaign summary with `slots` (the journal layout),
-/// `Mission` (what the engine's run_mission fills), `rse` (the adaptive-
-/// stopping rule) and, when Mission is not the summary itself, `fold`.
+/// Specialized once per campaign summary with `slots` (the journal layout)
+/// and `rse` (the adaptive-stopping rule).
 template <typename Summary>
 struct MissionSchema;
 
@@ -85,38 +78,33 @@ class SlotBinding {
     for (std::size_t i = 0; i < kSlots.size(); ++i) targets_[i] = address(acc, kSlots[i]);
   }
 
-  /// The accumulator value behind the slot that declares `Member`.
-  template <auto Member>
-  auto& at() const {
-    constexpr std::size_t i = index_of(Member);
-    using Value = std::remove_reference_t<decltype(std::declval<Summary&>().*Member)>;
-    return *static_cast<Value*>(targets_[i]);
-  }
-
-  /// The default fold: += for counters and scalars, RunningStats::merge for
-  /// stats.
+  /// The fold: += for counters and scalars, RunningStats::merge for stats.
+  /// Each slot's kind and member are compile-time constants here, so a
+  /// stage-1 mission of tens of nanoseconds does not reload them from the
+  /// schema array every time.
   void fold(const Summary& one) const {
-    for (std::size_t i = 0; i < kSlots.size(); ++i) {
-      const Slot<Summary>& slot = kSlots[i];
-      void* into = targets_[i];
-      if (slot.kind == SlotKind::kCounter) *static_cast<std::uint64_t*>(into) += one.*slot.counter;
-      if (slot.kind == SlotKind::kScalar) *static_cast<double*>(into) += one.*slot.scalar;
-      if (slot.kind == SlotKind::kStats) static_cast<RunningStats*>(into)->merge(one.*slot.stats);
-    }
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (fold_slot<I>(one), ...);
+    }(std::make_index_sequence<kSlots.size()>{});
   }
 
  private:
+  template <std::size_t I>
+  void fold_slot(const Summary& one) const {
+    constexpr Slot<Summary> slot = kSlots[I];
+    void* into = targets_[I];
+    if constexpr (slot.kind == SlotKind::kCounter)
+      *static_cast<std::uint64_t*>(into) += one.*slot.counter;
+    else if constexpr (slot.kind == SlotKind::kScalar)
+      *static_cast<double*>(into) += one.*slot.scalar;
+    else
+      static_cast<RunningStats*>(into)->merge(one.*slot.stats);
+  }
+
   static void* address(CampaignAccumulator& acc, const Slot<Summary>& slot) {
     if (slot.kind == SlotKind::kCounter) return &acc.counter(slot.name);
     if (slot.kind == SlotKind::kScalar) return &acc.scalar(slot.name);
     return &acc.stats(slot.name);
-  }
-
-  template <typename Member>
-  static consteval std::size_t index_of(Member member) {
-    for (std::size_t i = 0; i < kSlots.size(); ++i)
-      if (kSlots[i].holds(member)) return i;
-    throw "member has no slot in the schema";
   }
 
   std::array<void*, kSlots.size()> targets_{};
@@ -141,14 +129,11 @@ struct MissionCampaignResult {
 };
 
 /// Run `campaign.total_units` missions. Every worker attempt builds one
-/// engine with `make_engine()`, one MissionSchema<Summary>::Mission and
+/// engine with `make_engine()`, one Summary for a mission's results and
 /// binds its accumulator's slots once, for all the blocks it runs; each
-/// mission clears that Mission, runs into it, then folds it into those
-/// slots. (Constructing a Mission
-/// per mission cost a measurable share of a stage-1 mission of tens of
-/// nanoseconds: bench_sim_core's stage-1 ratio.) The caller sets the seed,
-/// the fingerprint and the execution knobs; target_rse stops on
-/// MissionSchema<Summary>::rse.
+/// mission zeroes that Summary, runs into it, then folds it into those
+/// slots. The caller sets the seed, the fingerprint and the execution
+/// knobs; target_rse stops on MissionSchema<Summary>::rse.
 template <typename Summary, typename MakeEngine>
 MissionCampaignResult<Summary> run_mission_campaign(CampaignConfig campaign, MakeEngine make_engine,
                                                     ThreadPool* pool) {
@@ -157,18 +142,12 @@ MissionCampaignResult<Summary> run_mission_campaign(CampaignConfig campaign, Mak
   auto factory = [make_engine](std::uint32_t, Rng& rng) -> CampaignRunner::UnitRunner {
     auto engine = std::make_shared<Engine>(make_engine());
     auto slots = std::make_shared<std::optional<SlotBinding<Summary>>>();
-    auto one = std::make_shared<typename Schema::Mission>();
+    auto one = std::make_shared<Summary>();
     return [engine, slots, one, &rng](CampaignAccumulator& acc) {
       if (!*slots) slots->emplace(acc);  // the worker's one accumulator
-      if constexpr (requires { one->clear(); })
-        one->clear();  // keeps the buffers' capacity
-      else
-        *one = {};
+      *one = {};
       engine->run_mission(rng, *one);
-      if constexpr (std::is_same_v<typename Schema::Mission, Summary>)
-        (*slots)->fold(*one);
-      else
-        Schema::fold(**slots, *one);
+      (*slots)->fold(*one);
     };
   };
   auto rse = [](const CampaignAccumulator& merged) {
@@ -178,11 +157,10 @@ MissionCampaignResult<Summary> run_mission_campaign(CampaignConfig campaign, Mak
   return {summary_from<Summary>(merged), std::move(report)};
 }
 
-// Strategy 1: the fleet simulator, whose per-mission result is its summary.
+// Strategy 1: the fleet simulator.
 
 template <>
 struct MissionSchema<FleetSimResult> {
-  using Mission = FleetSimResult;
   static constexpr std::array slots{
       counter_slot("missions", &FleetSimResult::missions),
       counter_slot("data_loss_missions", &FleetSimResult::data_loss_missions),
@@ -211,54 +189,21 @@ MissionCampaignResult<FleetSimResult> run_fleet_campaign(const FleetSimConfig& c
 
 // Strategy 2, stage 1: the local-pool simulator feeding splitting's stage 2.
 
-struct LocalPoolSummary {
-  std::uint64_t missions = 0;
-  std::uint64_t catastrophes = 0;
-  double pool_years = 0.0;  ///< total simulated pool-time in years
-  RunningStats lost_stripe_fraction;  ///< per-catastrophe lost fraction
-  RunningStats unrebuilt_tb;          ///< per-catastrophe missing data
-  /// Perf counters merged from the block simulators.
-  std::uint64_t events_processed = 0;
-  std::uint64_t rng_draws = 0;
-
-  /// Stage-1 statistics for the splitting stage 2 (mlec_durability).
-  LocalPoolStats stats() const {
-    const double rate = pool_years > 0.0 ? static_cast<double>(catastrophes) / pool_years : 0.0;
-    return {rate, lost_stripe_fraction.mean()};
-  }
-};
-
 template <>
-struct MissionSchema<LocalPoolSummary> {
-  using Mission = LocalPoolSimResult;
+struct MissionSchema<LocalPoolSimResult> {
   static constexpr std::array slots{
-      counter_slot("missions", &LocalPoolSummary::missions),
-      counter_slot("catastrophes", &LocalPoolSummary::catastrophes),
-      counter_slot("events_processed", &LocalPoolSummary::events_processed),
-      counter_slot("rng_draws", &LocalPoolSummary::rng_draws),
-      scalar_slot("pool_years", &LocalPoolSummary::pool_years),
-      stats_slot("lost_stripe_fraction", &LocalPoolSummary::lost_stripe_fraction),
-      stats_slot("unrebuilt_tb", &LocalPoolSummary::unrebuilt_tb),
+      counter_slot("missions", &LocalPoolSimResult::missions),
+      counter_slot("catastrophes", &LocalPoolSimResult::catastrophes),
+      counter_slot("events_processed", &LocalPoolSimResult::events_processed),
+      counter_slot("rng_draws", &LocalPoolSimResult::rng_draws),
+      scalar_slot("pool_years", &LocalPoolSimResult::pool_years),
+      scalar_slot("expected_catastrophes", &LocalPoolSimResult::expected_catastrophes),
+      scalar_slot("expected_catastrophes_sq", &LocalPoolSimResult::expected_catastrophes_sq),
+      scalar_slot("expected_lost_fraction", &LocalPoolSimResult::expected_lost_fraction),
   };
-  /// Each catastrophe sample is add()ed on its own, in mission order:
-  /// merging a per-mission RunningStats instead would round differently.
-  static void fold(const SlotBinding<LocalPoolSummary>& into, const LocalPoolSimResult& one) {
-    into.at<&LocalPoolSummary::missions>() += one.missions;
-    into.at<&LocalPoolSummary::catastrophes>() += one.catastrophes;
-    into.at<&LocalPoolSummary::pool_years>() += one.pool_years;
-    for (const auto& s : one.samples) {
-      into.at<&LocalPoolSummary::lost_stripe_fraction>().add(s.lost_stripe_fraction);
-      into.at<&LocalPoolSummary::unrebuilt_tb>().add(s.unrebuilt_tb);
-    }
-    into.at<&LocalPoolSummary::events_processed>() += one.events_processed;
-    into.at<&LocalPoolSummary::rng_draws>() += one.rng_draws;
-  }
-  /// The splitting pipeline is rate-limited by the catastrophe count, whose
-  /// relative error is Poisson: 1/sqrt(count).
-  static double rse(const LocalPoolSummary& s) {
-    return s.catastrophes > 0 ? 1.0 / std::sqrt(static_cast<double>(s.catastrophes))
-                              : std::numeric_limits<double>::infinity();
-  }
+  /// The splitting pipeline is rate-limited by the stage-1 catastrophe rate,
+  /// whose relative error is that of the mean per-mission compensator.
+  static double rse(const LocalPoolSimResult& s) { return s.rate_rse(); }
 };
 
 /// Identity string folded into the journal fingerprint: any change to the
@@ -267,7 +212,7 @@ std::string local_pool_campaign_fingerprint(const LocalPoolSimConfig& config);
 
 /// Run `campaign.total_units` pool missions of `config`; the fingerprint is
 /// set from local_pool_campaign_fingerprint.
-MissionCampaignResult<LocalPoolSummary> run_local_pool_campaign(const LocalPoolSimConfig& config,
+MissionCampaignResult<LocalPoolSimResult> run_local_pool_campaign(const LocalPoolSimConfig& config,
                                                                 CampaignConfig campaign,
                                                                 ThreadPool* pool = nullptr);
 

@@ -51,15 +51,23 @@ void LocalPoolEngine::run_mission(Rng& rng, LocalPoolSimResult& into) {
     return rng.exponential(pool_rate_);
   };
   double first_arrival = next_gap(0.0);
+  AtRisk risk;
   into.events_processed += walk_pool(
       pool_, model_, mission_hours_, first_arrival, {}, next_gap,
       [&](double t, const InjectedFailure*) {
         ++into.catastrophes;
-        into.samples.push_back({.lost_stripe_fraction = pool_.lost_stripe_fraction(model_),
-                                .unrebuilt_tb = pool_.unrebuilt_tb(model_)});
         return t;  // no network repair holds the pool
       },
-      [](double, const InjectedFailure*) {});
+      [](double, const InjectedFailure*) {},
+      [&](double from, double to) { pool_.accrue_at_risk(from, to, model_, risk); });
+  // The hazard of the walk's arrivals, pool_rate_, turns at-risk hours into
+  // the catastrophes' compensator. Most missions are never at risk, and
+  // adding their zeros would change no sum.
+  if (!(risk.hours > 0.0)) return;
+  const double expected = pool_rate_ * risk.hours;
+  into.expected_catastrophes += expected;
+  into.expected_catastrophes_sq += expected * expected;
+  into.expected_lost_fraction += pool_rate_ * risk.fraction_hours;
 }
 
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& cfg, std::uint64_t missions,

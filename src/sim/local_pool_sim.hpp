@@ -3,12 +3,24 @@
 //
 // Simulates one local pool (clustered: k_l+p_l disks; declustered: a whole
 // enclosure) under independent disk failures with detection delay and
-// bandwidth-limited rebuild, and records every catastrophic (locally-
-// unrecoverable) event together with the state needed by stage 2: the
-// fraction of local stripes lost, and how much data the failed disks held.
-// A mission is one walk_pool (sim/pool_state.hpp) of one pool with no
-// injected failures and no network repair: the fleet simulator walks each
-// of its pools through the same loop.
+// bandwidth-limited rebuild. A mission is one walk_pool
+// (sim/pool_state.hpp) of one pool with no injected failures and no network
+// repair: the fleet simulator walks each of its pools through the same loop.
+//
+// Stage 1 does not count catastrophes to estimate their rate: it integrates
+// their compensator. Failures arrive as a Poisson stream at the pool rate
+// whatever the pool's state, so N_cat(t) minus the integral of
+// pool_rate x 1{one more failure would be catastrophic} is a martingale,
+// and each mission records that integral, W = pool_rate x (at-risk hours),
+// and F = pool_rate x the integral of the lost-stripe fraction such a
+// failure would realize over those hours (LocalPoolState::accrue_at_risk).
+// E[W] is the expected catastrophe count and E[F] the expected sum of their
+// lost fractions, but W is nonzero in every mission that reaches p_l
+// failures in flight, not only in the rare ones that see a catastrophe, so
+// the rate ΣW / pool-years reaches a given relative error in far fewer
+// missions. Its RSE is that of a mean of i.i.d. per-mission W:
+// sqrt(ΣW² - (ΣW)²/n) / ΣW. The observed catastrophe count is kept as a
+// diagnostic.
 //
 // Modeling notes (documented deviations are cross-checked against the
 // Markov closed forms in tests):
@@ -35,10 +47,11 @@
 //    are catastrophic, as in a clustered pool.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
+#include <limits>
 
 #include "placement/codes.hpp"
 #include "placement/schemes.hpp"
@@ -65,35 +78,37 @@ struct LocalPoolSimConfig {
   PoolRepairModel repair_model() const;
 };
 
-/// State captured at one catastrophic local-pool failure; consumed by the
-/// splitting stage 2 (analysis/splitting.hpp).
-struct CatastropheSample {
-  double lost_stripe_fraction;  ///< stripes with >= p_l+1 lost chunks / stripes in pool
-  double unrebuilt_tb;          ///< data still missing across failed disks
-};
-
 struct LocalPoolSimResult {
   std::uint64_t missions = 0;
+  /// Catastrophes observed: a diagnostic, since the estimates read the
+  /// compensator sums below.
   std::uint64_t catastrophes = 0;
-  double pool_years = 0.0;  ///< total simulated pool-time in years
-  std::vector<CatastropheSample> samples;
+  double pool_years = 0.0;                ///< total simulated pool-time in years
+  double expected_catastrophes = 0.0;     ///< ΣW over missions
+  double expected_catastrophes_sq = 0.0;  ///< ΣW² over missions
+  double expected_lost_fraction = 0.0;    ///< ΣF over missions
   /// Perf counters: events processed (failures, the only events) and RNG
   /// variates drawn.
   std::uint64_t events_processed = 0;
   std::uint64_t rng_draws = 0;
 
-  /// Back to a fresh result, keeping the samples' capacity, so a campaign
-  /// that reuses one result per worker allocates only while it grows.
-  void clear() {
-    std::vector<CatastropheSample> kept = std::move(samples);
-    kept.clear();
-    *this = {};
-    samples = std::move(kept);
-  }
-
-  /// Catastrophes per pool-year (the splitting stage-1 rate).
+  /// Catastrophes per pool-year (the splitting stage-1 rate): ΣW over the
+  /// pool-years.
   double catastrophe_rate_per_year() const {
-    return pool_years > 0.0 ? static_cast<double>(catastrophes) / pool_years : 0.0;
+    return pool_years > 0.0 ? expected_catastrophes / pool_years : 0.0;
+  }
+  /// Mean lost-local-stripe fraction per catastrophe: ΣF / ΣW.
+  double lost_stripe_fraction() const {
+    return expected_catastrophes > 0.0 ? expected_lost_fraction / expected_catastrophes : 0.0;
+  }
+  /// Relative standard error of the rate, from the spread of the per-mission
+  /// W; infinite while ΣW is zero.
+  double rate_rse() const {
+    if (!(expected_catastrophes > 0.0)) return std::numeric_limits<double>::infinity();
+    const double n = static_cast<double>(missions);
+    const double spread =
+        expected_catastrophes_sq - expected_catastrophes * expected_catastrophes / n;
+    return std::sqrt(std::max(0.0, spread)) / expected_catastrophes;
   }
 };
 
@@ -110,9 +125,9 @@ class LocalPoolEngine {
   /// Simulate one mission, accumulating into `into`: the missions counter
   /// goes up by one and pool_years becomes missions x mission length, so N
   /// calls on a fresh result equal simulate_local_pool(N) bit for bit.
-  /// Every catastrophe is sampled. After each one the pool is reset
-  /// (network-level repair is stage 2's concern) and the mission continues,
-  /// so the estimator is a rate, not a first-passage probability.
+  /// After each catastrophe the pool is reset (network-level repair is
+  /// stage 2's concern) and the mission continues, so the estimator is a
+  /// rate, not a first-passage probability.
   void run_mission(Rng& rng, LocalPoolSimResult& into);
 
  private:

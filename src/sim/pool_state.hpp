@@ -18,6 +18,9 @@
 //    whose rebuilds share the pool's bandwidth.
 //  * walk_pool — the one loop that steps a pool through a mission. Stage 1
 //    walks one pool with no network repair; the fleet walks every pool.
+//  * AtRisk — the measure of the time during which one more failure would
+//    be catastrophic, which stage 1 integrates in place of counting rare
+//    catastrophes (LocalPoolState::accrue_at_risk).
 #pragma once
 
 #include <algorithm>
@@ -132,6 +135,14 @@ struct PoolRepairModel {
   double clustered_rebuild_hours_ = 0.0;  ///< clustered_rebuild_hours after finalize()
 };
 
+/// At-risk measure of a stretch of pool time: the hours during which one
+/// more failure would be catastrophic, and the same hours weighted by the
+/// lost-stripe fraction that failure would realize.
+struct AtRisk {
+  double hours = 0.0;
+  double fraction_hours = 0.0;
+};
+
 /// Mutable state of one local pool, stepped one disk failure at a time.
 ///
 /// A clustered pool keeps a ring of its last p_l finish times. Each failed
@@ -182,7 +193,7 @@ class LocalPoolState {
       oldest_ = oldest_ + 1 == finish_.size() ? 0 : oldest_ + 1;
       return false;
     }
-    advance_to(t, m);
+    advance_to(t, m, [](double, double, std::size_t) {});
     failures_.push_back({t + m.detection_hours, m.disk_capacity_tb});
     const std::size_t f = failures_.size();
     if (f > m.code.p && (!m.priority_repair || t < clear_at_)) return true;
@@ -191,6 +202,48 @@ class LocalPoolState {
     if (m.priority_repair && f >= m.code.p)
       clear_at_ = std::max(clear_at_, t + m.critical_window_hours(f));
     return false;
+  }
+
+  /// Add to `into` the at-risk measure of [from, to), a span in which no
+  /// failure arrives that starts at the pool's last step (its last failure,
+  /// or its restart). A failure at s in the span would be catastrophic
+  /// exactly when fail(s) would return true, and would realize the lost-
+  /// stripe fraction lost_stripe_fraction() then reads: for a clustered
+  /// pool min(1, (oldest finish - s) / rebuild hours) until the oldest ring
+  /// entry finishes, integrated in closed form; for a declustered one the
+  /// hypergeometric tail over (in flight + 1), segment by segment, while at
+  /// least p_l failures are in flight and, under priority reconstruction,
+  /// before the critical window closes. A declustered pool's rebuilds are
+  /// advanced to `to` when the span can be at risk; a span that cannot be
+  /// returns after one test.
+  void accrue_at_risk(double from, double to, const PoolRepairModel& m, AtRisk& into) {
+    if (m.clustered) {
+      const double finish = finish_[oldest_];
+      if (!(finish > from)) return;
+      const double end = std::min(finish, to);
+      const double rebuild = m.clustered_rebuild_hours();
+      // Fraction 1 up to `full`, then (finish - s) / rebuild, linear in s.
+      const double full = std::clamp(finish - rebuild, from, end);
+      into.hours += end - from;
+      into.fraction_hours += full - from;
+      if (full < end)
+        into.fraction_hours += (end - full) * (2.0 * finish - end - full) / (2.0 * rebuild);
+      return;
+    }
+    // The failures in flight only fall and the window end is fixed until
+    // the next failure, so neither test can turn true later in the span.
+    if (failures_.size() < m.code.p || (m.priority_repair && !(from < clear_at_))) return;
+    auto segment = [&](double a, double b, std::size_t in_flight) {
+      if (in_flight < m.code.p) return;
+      if (m.priority_repair) b = std::min(b, clear_at_);
+      if (!(b > a)) return;
+      into.hours += b - a;
+      into.fraction_hours += (b - a) * m.declustered_lost_fraction(in_flight + 1);
+    };
+    if (failures_.empty())
+      segment(from, to, 0);
+    else
+      advance_to(to, m, segment);
   }
 
   /// Failed disks at the catastrophe, its failure included.
@@ -245,8 +298,11 @@ class LocalPoolState {
   }
 
   /// Progress the declustered rebuilds from last_advance_ to t, segment by
-  /// segment, dropping the ones that complete.
-  void advance_to(double t, const PoolRepairModel& m) {
+  /// segment, dropping the ones that complete. `on_segment(a, b, in_flight)`
+  /// sees each stretch [a, b) with a fixed number of failures in flight,
+  /// including one with none left after the last completion.
+  template <typename OnSegment>
+  void advance_to(double t, const PoolRepairModel& m, OnSegment&& on_segment) {
     MLEC_ASSERT(failures_.empty() || t >= last_advance_, "pool time cannot flow backwards");
     double now = last_advance_;
     last_advance_ = t;
@@ -261,12 +317,14 @@ class LocalPoolState {
           boundary = std::min(boundary, now + f.remaining_tb / rate);
       }
       const double dt = boundary - now;
+      on_segment(now, boundary, failures_.size());
       for (auto& f : failures_)
         if (f.detect_at <= now) f.remaining_tb -= rate * dt;
       now = boundary;
       std::erase_if(failures_,
                     [](const PoolFailure& f) { return f.remaining_tb <= kRebuildCompleteEpsilonTb; });
     }
+    if (now < t) on_segment(now, t, 0);
   }
 
   /// Clustered: the last p_l finish times, oldest at oldest_, and the time
@@ -297,18 +355,22 @@ struct InjectedFailure {
 /// reads the realized state and returns when network repair ends; the pool
 /// restarts fresh, and failures before that end go to `on_held(t, inj)`
 /// (deepenings) instead of the pool. `inj` is the failure's injected entry,
-/// null for a sampled one. Returns the failures walked, held ones included,
-/// and leaves `next_arrival` at the first sampled arrival at or past
-/// mission end. Forced inline, so each caller compiles to one loop with its
-/// gap source and callbacks folded in.
-template <typename NextGap, typename OnCatastrophe, typename OnHeld>
+/// null for a sampled one. `on_span(from, to)` sees each span over which
+/// the pool's state holds: from its last step (a failure it took, its
+/// restart, or mission start) to the next failure it takes, then to mission
+/// end; it runs before that failure steps the state. Returns the failures
+/// walked, held ones included, and leaves `next_arrival` at the first
+/// sampled arrival at or past mission end. Forced inline, so each caller
+/// compiles to one loop with its gap source and callbacks folded in.
+template <typename NextGap, typename OnCatastrophe, typename OnHeld, typename OnSpan>
 [[gnu::always_inline]] inline std::uint64_t walk_pool(
     LocalPoolState& state, const PoolRepairModel& m, double mission_hours,
     double& next_arrival, std::span<const InjectedFailure> injected, NextGap&& next_gap,
-    OnCatastrophe&& on_catastrophe, OnHeld&& on_held) {
+    OnCatastrophe&& on_catastrophe, OnHeld&& on_held, OnSpan&& on_span) {
   const InjectedFailure* inj = injected.data();
   const InjectedFailure* const inj_end = inj + injected.size();
   double held_until = -std::numeric_limits<double>::infinity();
+  double stepped = 0.0;
   std::uint64_t walked = 0;
   state.reset(m);
   while (true) {
@@ -322,10 +384,14 @@ template <typename NextGap, typename OnCatastrophe, typename OnHeld>
       on_held(t, source);
       continue;
     }
+    on_span(stepped, t);
+    stepped = t;
     if (!state.fail(t, m)) continue;
     held_until = on_catastrophe(t, source);
+    stepped = held_until;
     state.reset(m);
   }
+  if (stepped < mission_hours) on_span(stepped, mission_hours);
   return walked;
 }
 

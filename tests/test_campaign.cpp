@@ -6,10 +6,12 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "runtime/mission_campaign.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/stats.hpp"
 
 namespace mlec {
 namespace {
@@ -548,6 +551,40 @@ TEST(Campaign, AdaptiveStoppingConvergesEarly) {
   EXPECT_LE(report.achieved_rse, cfg.target_rse);
 }
 
+TEST(Campaign, BernoulliRseWhileEveryTrialSucceedsIsTheWilsonReach) {
+  // p = 1 has no binomial spread: the RSE is the 95% Wilson interval's
+  // reach below 1, over 1.96, and falls as trials accrue. Below p = 1 the
+  // formula is the binomial one.
+  for (std::uint64_t n : {1u, 4u, 36u, 1000u}) {
+    ProportionEstimate all;
+    all.add_many(n, n);
+    EXPECT_NEAR(bernoulli_rse(n, n), (1.0 - all.wilson().lo) / 1.959964, 1e-15) << n;
+  }
+  EXPECT_GT(bernoulli_rse(4, 4), bernoulli_rse(36, 36));
+  EXPECT_EQ(bernoulli_rse(3, 4), std::sqrt((1.0 - 0.75) / 3.0));
+  EXPECT_EQ(bernoulli_rse(0, 4), std::numeric_limits<double>::infinity());
+}
+
+TEST(FleetCampaign, AlwaysLosingFleetRunsPastItsFirstBlock) {
+  // Every mission of this fleet loses data. A target RSE must not read the
+  // first all-loss block as converged: the campaign stops at the first
+  // block prefix whose Wilson reach meets the target, z / (n + z^2) <=
+  // 0.05, which is 36 missions (9 blocks).
+  FleetSimConfig fleet = small_fleet();
+  fleet.failures.afr = 50.0;
+  CampaignConfig campaign;
+  campaign.total_units = 4096;
+  campaign.seed = 11;
+  campaign.checkpoint_every = 4;
+  campaign.target_rse = 0.05;
+  const auto [summary, report] = run_fleet_campaign(fleet, campaign);
+  EXPECT_EQ(summary.data_loss_missions, summary.missions);
+  EXPECT_TRUE(report.converged);
+  EXPECT_EQ(report.units_done, 36u);
+  EXPECT_GT(report.achieved_rse, 0.0);
+  EXPECT_LE(report.achieved_rse, 0.05);
+}
+
 TEST(Campaign, ResumeRefusesMismatchedWorkload) {
   const auto path = temp_path("journal_mismatch.bin");
   std::remove(path.c_str());
@@ -610,7 +647,7 @@ struct LocalPoolCase {
     return run_local_pool_campaign(cfg, campaign, pool);
   }
   static LocalPoolSimConfig hot() { return hot_pool(); }
-  static constexpr double kTargetRse = 0.1;
+  static constexpr double kTargetRse = 0.03;
   static constexpr std::uint64_t kUnits = 2048;
   static constexpr std::uint64_t kBatch = 64;
 };
@@ -647,7 +684,7 @@ TEST(FleetCampaign, MatchesAdapterRoundTrip) {
   expect_schema_round_trip<FleetSimResult>();
 }
 TEST(LocalPoolCampaign, MatchesAdapterRoundTrip) {
-  expect_schema_round_trip<LocalPoolSummary>();
+  expect_schema_round_trip<LocalPoolSimResult>();
 }
 
 template <typename Case>
@@ -897,8 +934,7 @@ TEST(LocalPoolCampaign, BlockMatchesSimulateLocalPoolOnItsSubstream) {
   const auto summary = run_local_pool_campaign(cfg, campaign, &pool).summary;
 
   std::uint64_t missions = 0, catastrophes = 0, events = 0, draws = 0;
-  double pool_years = 0.0;
-  RunningStats frac, unrebuilt;
+  double pool_years = 0.0, expected = 0.0, expected_sq = 0.0, lost = 0.0;
   for (std::uint64_t b = 0; b < blocks; ++b) {
     Rng rng = Rng::for_substream(seed, b);
     const auto direct = simulate_local_pool(cfg, block, rng);
@@ -907,23 +943,20 @@ TEST(LocalPoolCampaign, BlockMatchesSimulateLocalPoolOnItsSubstream) {
     events += direct.events_processed;
     draws += direct.rng_draws;
     pool_years += direct.pool_years;
-    // Per-catastrophe statistics are added in mission order within a block
-    // and merged block by block.
-    RunningStats block_frac, block_unrebuilt;
-    for (const auto& s : direct.samples) {
-      block_frac.add(s.lost_stripe_fraction);
-      block_unrebuilt.add(s.unrebuilt_tb);
-    }
-    frac.merge(block_frac);
-    unrebuilt.merge(block_unrebuilt);
+    // The compensator sums are added in mission order within a block and
+    // merged block by block.
+    expected += direct.expected_catastrophes;
+    expected_sq += direct.expected_catastrophes_sq;
+    lost += direct.expected_lost_fraction;
   }
   ASSERT_GT(catastrophes, 0u);
   EXPECT_EQ(summary.missions, missions);
   EXPECT_EQ(summary.catastrophes, catastrophes);
   EXPECT_EQ(summary.events_processed, events);
   EXPECT_EQ(summary.rng_draws, draws);
-  EXPECT_TRUE(summary.lost_stripe_fraction == frac);
-  EXPECT_TRUE(summary.unrebuilt_tb == unrebuilt);
+  EXPECT_EQ(summary.expected_catastrophes, expected);
+  EXPECT_EQ(summary.expected_catastrophes_sq, expected_sq);
+  EXPECT_EQ(summary.expected_lost_fraction, lost);
   // The campaign sums per-mission pool-years where the direct run multiplies
   // once, so these agree up to rounding.
   EXPECT_DOUBLE_EQ(summary.pool_years, pool_years);
@@ -976,7 +1009,7 @@ TEST(Campaign, ResumeRefusesJournalsOfTheInverseCdfSampler) {
 
   const LocalPoolSimConfig pool = hot_pool();
   expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
-                              "localpool-v5", "localpool-v1",
+                              "localpool-v6", "localpool-v1",
                               [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
                                 return run_local_pool_campaign(c, k);
                               });
@@ -993,7 +1026,7 @@ TEST(Campaign, ResumeRefusesJournalsOfTheSteppedClusteredClock) {
 
   const LocalPoolSimConfig pool = hot_pool();
   expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
-                              "localpool-v5", "localpool-v2",
+                              "localpool-v6", "localpool-v2",
                               [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
                                 return run_local_pool_campaign(c, k);
                               });
@@ -1011,7 +1044,7 @@ TEST(Campaign, ResumeRefusesJournalsOfTheFleetWideFailureStream) {
 
   const LocalPoolSimConfig pool = hot_pool();
   expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
-                              "localpool-v5", "localpool-v4",
+                              "localpool-v6", "localpool-v4",
                               [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
                                 return run_local_pool_campaign(c, k);
                               });
@@ -1033,6 +1066,18 @@ TEST(Campaign, ResumeRefusesFleetJournalsWithADataLossEventsSlot) {
   expect_old_schedule_refused(
       "fleet", fleet, fleet_campaign_fingerprint(fleet), "fleet-v8", "fleet-v7",
       [](const FleetSimConfig& c, const CampaignConfig& k) { return run_fleet_campaign(c, k); });
+}
+
+TEST(Campaign, ResumeRefusesLocalPoolJournalsWithPerCatastropheStatistics) {
+  // localpool-v5 journals hold per-catastrophe lost-fraction and unrebuilt
+  // statistics slots where the summary now holds the compensator sums; their
+  // draws are the same, but the slot layout is not.
+  const LocalPoolSimConfig pool = hot_pool();
+  expect_old_schedule_refused("localpool", pool, local_pool_campaign_fingerprint(pool),
+                              "localpool-v6", "localpool-v5",
+                              [](const LocalPoolSimConfig& c, const CampaignConfig& k) {
+                                return run_local_pool_campaign(c, k);
+                              });
 }
 
 /// fingerprint_of over a file's bytes.
@@ -1068,7 +1113,7 @@ TEST(Campaign, JournalBytesArePinned) {
   campaign.checkpoint_path = temp_path("pinned_localpool.bin");
   std::remove(campaign.checkpoint_path.c_str());
   ASSERT_TRUE(run_local_pool_campaign(pool, campaign).report.complete());
-  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0xe82beb2d01d0aecfULL);
+  EXPECT_EQ(file_bytes_hash(campaign.checkpoint_path), 0x75e579d0054803e0ULL);
   std::remove(campaign.checkpoint_path.c_str());
 }
 

@@ -65,16 +65,16 @@ Scenario bundled(const std::string& file) {
 TEST(Golden, CrosscheckSlec) {
   const Scenario sc = bundled("crosscheck_slec.ini");
   expect_pinned("split", sc,
-                {0.37956431707335081, 0.34024626815500397, 0.41888236599169765, 6000,
-                 0.47733333333333333});
+                {0.38116622509079562, 0.37438653974054092, 0.38794591044105026, 6000,
+                 0.47991858047149571});
   expect_pinned("sim", sc, {0.38, 0.34204132298869255, 0.41948548527852897, 600, 0.38});
 }
 
 TEST(Golden, CrosscheckMlec) {
   const Scenario sc = bundled("crosscheck_mlec.ini");
   expect_pinned("split", sc,
-                {0.0027007787458968365, 0.0021412459022007724, 0.0032603115895929002, 6000,
-                 1.4319999999999999});
+                {0.0027300031219689973, 0.0026328876854281344, 0.0028271185585098607, 6000,
+                 1.439755741414487});
   expect_pinned("sim", sc,
                 {0.0026666666666666666, 0.0010374882379011814, 0.0068366522250867413, 1500,
                  1.4379999999999999});
@@ -83,8 +83,8 @@ TEST(Golden, CrosscheckMlec) {
 TEST(Golden, CrosscheckLrc) {
   const Scenario sc = bundled("crosscheck_lrc.ini");
   expect_pinned("split", sc,
-                {2.2355044665369292e-05, 1.5407947426339625e-05, 2.9302141904398959e-05, 6000,
-                 1.6706666666666667});
+                {2.2719126589542201e-05, 2.1506832428329382e-05, 2.3931420750755019e-05, 6000,
+                 1.6797150316502349});
   expect_pinned("sim", sc,
                 {0, 0, 0.0025544307603765975, 1500, 1.6799999999999999});
 }
@@ -100,8 +100,8 @@ TEST(Golden, PaperScaleSplit) {
       "[failures]\nafr = 0.3\n"
       "[sim]\nsplit_missions = 400000\nseed = 2023\n"));
   expect_pinned("split", sc,
-                {5.9788510570600031e-11, 3.9144784634626643e-11, 8.0432236506573419e-11, 400000,
-                 2.0880000000000001});
+                {8.0860803868498824e-11, 7.4947283561228474e-11, 8.6774324175769175e-11, 400000,
+                 2.2204474025767413});
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -250,6 +251,7 @@ struct ScriptedWalk {
   std::vector<double> catastrophes;
   std::vector<const InjectedFailure*> catastrophe_sources;
   std::vector<double> held;
+  std::vector<std::pair<double, double>> spans;
   double hold_hours = 0.0;  ///< the catastrophe callback holds the pool this long
 
   std::uint64_t run(LocalPoolState& state, const PoolRepairModel& m, double mission_hours,
@@ -265,7 +267,8 @@ struct ScriptedWalk {
           catastrophe_sources.push_back(inj);
           return t + hold_hours;
         },
-        [&](double t, const InjectedFailure*) { held.push_back(t); });
+        [&](double t, const InjectedFailure*) { held.push_back(t); },
+        [&](double from, double to) { spans.emplace_back(from, to); });
   }
 };
 
@@ -306,6 +309,11 @@ TEST(WalkPool, FailuresBeforeTheHoldEndAreHeldAndTheEndGoesToThePool) {
   EXPECT_EQ(walk.catastrophes, (std::vector<double>{10.0, 15.5}));
   EXPECT_EQ(walk.held, std::vector<double>{12.0});
   EXPECT_EQ(walked, 5u);  // the held failure is walked too
+  // The spans tile the pool's own time: up to each failure it takes, none
+  // across a hold, and the last from the second hold's end to mission end.
+  using Span = std::pair<double, double>;
+  const std::vector<Span> want = {{0, 10}, {10, 10}, {15, 15}, {15, 15.5}, {20.5, 100}};
+  EXPECT_EQ(walk.spans, want);
 }
 
 TEST(WalkPool, LeavesTheNextArrivalAtOrPastMissionEnd) {
@@ -358,7 +366,8 @@ TEST(WalkPool, StageOneShapeMatchesAPlainFailureLoop) {
             walk_unrebuilt.push_back(state.unrebuilt_tb(m));
             return t;
           },
-          [&](double, const InjectedFailure*) { ADD_FAILURE() << "nothing is held"; });
+          [&](double, const InjectedFailure*) { ADD_FAILURE() << "nothing is held"; },
+          [](double, double) {});
       EXPECT_GE(arrival, kMission);
 
       plain.reset(m);

@@ -89,25 +89,34 @@ namespace {
 
 using namespace mlec;
 
+constexpr const char* kUsage =
+    "usage: mlecctl <analyze|estimate|durability|burst|traffic|repair|tradeoff|\n"
+    "                chaos|advise|scenario|ec|\n"
+    "                serve|submit|status|watch|cancel|shutdown>\n"
+    "               [--config FILE] [--strict] [--code \"(kn+pn)/(kl+pl)\"] [--scheme C/D]\n"
+    "               [--repair R_MIN] [--afr F] [--detection-min M] [--racks N]\n"
+    "               [--enclosures-per-rack N] [--disks-per-enclosure N] [--disk-tb N]\n"
+    "               [--bursts] [--devops] [--nines N] [--throughput-critical]\n"
+    "               [--method sim|split|dp|markov|all] [--json] [--tolerance-nines X]\n"
+    "               [--missions N] [--split-missions N] [-h|--help]\n"
+    "               [--checkpoint FILE] [--resume]\n"
+    "               [--time-budget SECONDS] [--target-rse X] [--unit-budget N] [--seed N]\n"
+    "               [--checkpoint-every N] [--shard-timeout SECONDS] [--faults \"SPEC\"]\n"
+    "               [--fail-fast] [--workdir DIR] [--only SUBSTR] [--perf]\n"
+    "               [--host H] [--port P] [--state-dir DIR] [--workers N] [--runners N]\n"
+    "               [--client NAME] [--priority interactive|normal|batch] [--wait]\n";
+
+/// A usage error: the message and the usage on stderr, exit status 2.
 [[noreturn]] void usage(const char* message = nullptr) {
   if (message != nullptr) std::cerr << "mlecctl: " << message << "\n\n";
-  std::cerr <<
-      "usage: mlecctl <analyze|estimate|durability|burst|traffic|repair|tradeoff|\n"
-      "                chaos|advise|scenario|ec|\n"
-      "                serve|submit|status|watch|cancel|shutdown>\n"
-      "               [--config FILE] [--strict] [--code \"(kn+pn)/(kl+pl)\"] [--scheme C/D]\n"
-      "               [--repair R_MIN] [--afr F] [--detection-min M] [--racks N]\n"
-      "               [--enclosures-per-rack N] [--disks-per-enclosure N] [--disk-tb N]\n"
-      "               [--bursts] [--devops] [--nines N] [--throughput-critical]\n"
-      "               [--method sim|split|dp|markov|all] [--json] [--tolerance-nines X]\n"
-      "               [--missions N] [--split-missions N]\n"
-      "               [--checkpoint FILE] [--resume]\n"
-      "               [--time-budget SECONDS] [--target-rse X] [--unit-budget N] [--seed N]\n"
-      "               [--checkpoint-every N] [--shard-timeout SECONDS] [--faults \"SPEC\"]\n"
-      "               [--fail-fast] [--workdir DIR] [--only SUBSTR] [--perf]\n"
-      "               [--host H] [--port P] [--state-dir DIR] [--workers N] [--runners N]\n"
-      "               [--client NAME] [--priority interactive|normal|batch] [--wait]\n";
+  std::cerr << kUsage;
   std::exit(2);
+}
+
+/// --help / -h: the usage on stdout, exit status 0.
+[[noreturn]] void help() {
+  std::cout << kUsage;
+  std::exit(0);
 }
 
 struct Options {
@@ -162,8 +171,10 @@ Options parse_options(int argc, char** argv) {
   // --strict must be known before --config is loaded, and --config must be
   // loaded before any other flag so overrides win regardless of argument
   // order (`--missions N --config f` must not be clobbered by the file).
-  for (int i = 2; i < argc; ++i)
+  for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--strict") == 0) opt.strict = true;
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) help();
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
     std::string path;
@@ -704,6 +715,7 @@ int cmd_ec() {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string command = argv[1];
+  if (command == "--help" || command == "-h") help();
   if (command == "ec") return cmd_ec();
   try {
     const Options opt = parse_options(argc, argv);
